@@ -52,6 +52,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for length bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, sort_keys=True))
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", help="enumerate the bounded language")
     p.add_argument("automaton")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=non_negative_int, default=8)
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("transform", help="build a derived automaton")
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=["equiv", "inclusion", "uc-falsify", "uc-soundness", "jfa-parikh"]
     )
     p.add_argument("args", nargs="*")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=non_negative_int, default=8)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--word")
     p.add_argument("--oracle")

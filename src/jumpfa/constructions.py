@@ -9,16 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from jumpfa.core import Gjfa, Rule
+from jumpfa.core import Gjfa, Rule, fresh_state
 from jumpfa.langops import LangSet
-
-
-def _fresh_state(existing: Iterable[str]) -> str:
-    existing = set(existing)
-    i = 0
-    while f"_g{i}" in existing:
-        i += 1
-    return f"_g{i}"
 
 
 def finite_gjfa(k: LangSet, alphabet: Iterable[str]) -> Gjfa:
@@ -29,7 +21,7 @@ def finite_gjfa(k: LangSet, alphabet: Iterable[str]) -> Gjfa:
 
 def insert_gjfa(ml: Gjfa, k: LangSet) -> Gjfa:
     """Accepts L(ml) <- k: fresh start feeding the old start with one k-word."""
-    s = _fresh_state(ml.states)
+    s = fresh_state(ml.states)
     rules = set(ml.rules) | {Rule(s, v, ml.initial) for v in k.words}
     return Gjfa(ml.states | {s}, ml.alphabet, rules, s, ml.finals)
 
@@ -40,7 +32,7 @@ def insert_star_gjfa(ml: Gjfa, k: LangSet) -> Gjfa:
     An empty word in k stays as an eps self-loop, faithful to the rule set of
     the underlying construction; the search semantics cycle-cut it.
     """
-    s = _fresh_state(ml.states)
+    s = fresh_state(ml.states)
     rules = set(ml.rules) | {Rule(s, v, s) for v in k.words} | {Rule(s, (), ml.initial)}
     return Gjfa(ml.states | {s}, ml.alphabet, rules, s, ml.finals)
 
@@ -70,7 +62,7 @@ def union_gjfa(a: Gjfa, b: Gjfa) -> Gjfa:
 
     a2 = renamed(a, "_1")
     b2 = renamed(b, "_2")
-    s = _fresh_state(a2.states | b2.states)
+    s = fresh_state(a2.states | b2.states)
     states = a2.states | b2.states | {s}
     rules = set(a2.rules) | set(b2.rules) | {Rule(s, (), a2.initial), Rule(s, (), b2.initial)}
     finals = a2.finals | b2.finals

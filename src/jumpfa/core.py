@@ -2,7 +2,8 @@
 
 Symbols and state ids are plain interned token strings; words are tuples of
 symbol tokens. The empty tuple is the empty word and is written ``eps`` in
-all textual forms.
+all textual forms. Every bounded search over automata and insertion
+systems runs on :func:`search`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -28,6 +30,45 @@ def check_symbol(name: str) -> str:
     if name == EPS_TOKEN:
         raise ValueError(f"{EPS_TOKEN!r} is reserved for the empty word")
     return name
+
+
+def multimap(pairs: Iterable[tuple]) -> dict:
+    """Map each key of the (key, value) pairs to the list of its values."""
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return out
+
+
+def fresh_state(existing: Iterable[str]) -> str:
+    """The first of ``_g0``, ``_g1``, ... not in existing."""
+    existing = set(existing)
+    i = 0
+    while f"_g{i}" in existing:
+        i += 1
+    return f"_g{i}"
+
+
+def search(starts, successors, stop=None):
+    """Breadth-first search over hashable nodes; returns (parents, found).
+
+    ``successors(node)`` yields (move, next) pairs. ``parents`` maps each
+    reached node to (previous node, move), or to None for a start. When
+    ``stop`` is given, the search ends at the first dequeued node it accepts,
+    returned as ``found``; otherwise, or when no node is accepted, ``found``
+    is None and ``parents`` holds every reachable node.
+    """
+    parents = dict.fromkeys(starts)
+    queue = deque(parents)
+    while queue:
+        node = queue.popleft()
+        if stop is not None and stop(node):
+            return parents, node
+        for move, nxt in successors(node):
+            if nxt not in parents:
+                parents[nxt] = (node, move)
+                queue.append(nxt)
+    return parents, None
 
 
 def word(text: str) -> Word:
@@ -87,22 +128,26 @@ class Gjfa:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "finals", frozenset(finals))
 
-    def rules_from(self, state: str) -> list[Rule]:
-        return sorted(r for r in self.rules if r.src == state)
+    @cached_property
+    def by_src(self) -> dict[str, list[Rule]]:
+        """Rules grouped by source state, built once per automaton."""
+        return multimap((r.src, r) for r in self.rules)
 
-    def rules_into(self, state: str) -> list[Rule]:
-        return sorted(r for r in self.rules if r.dst == state)
+    @cached_property
+    def by_dst(self) -> dict[str, list[Rule]]:
+        """Rules grouped by target state, built once per automaton."""
+        return multimap((r.dst, r) for r in self.rules)
 
 
 def validate(m: Gjfa) -> list[str]:
     """Check all Gjfa invariants; return one diagnostic string per violation."""
     diags: list[str] = []
-    for s in sorted(m.states):
-        if not SYMBOL_RE.match(s) or s == EPS_TOKEN:
-            diags.append(f"invalid state token: {s!r}")
-    for a in sorted(m.alphabet):
-        if not SYMBOL_RE.match(a) or a == EPS_TOKEN:
-            diags.append(f"invalid alphabet symbol: {a!r}")
+    for what, tokens in (("state token", m.states), ("alphabet symbol", m.alphabet)):
+        for tok in sorted(tokens):
+            try:
+                check_symbol(tok)
+            except ValueError:
+                diags.append(f"invalid {what}: {tok!r}")
     if m.initial not in m.states:
         diags.append(f"initial state not declared: {m.initial}")
     for f in sorted(m.finals - m.states):
@@ -158,35 +203,19 @@ class Nfa:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "finals", frozenset(finals))
 
-    def validate(self) -> list[str]:
-        diags = []
-        if self.initial not in self.states:
-            diags.append(f"initial state not declared: {self.initial}")
-        for f in sorted(self.finals - self.states):
-            diags.append(f"final state not declared: {f}")
-        for src, label, dst in sorted(
-            self.transitions, key=lambda t: (t[0], t[1] or "", t[2])
-        ):
-            if src not in self.states or dst not in self.states:
-                diags.append(f"transition ({src}, {label}, {dst}) endpoint undeclared")
-            if label is not None and label not in self.alphabet:
-                diags.append(f"transition label undeclared: {label}")
-        return diags
+    @cached_property
+    def delta(self) -> dict[tuple[str, Optional[str]], list[str]]:
+        """Transition targets keyed (source, label), built once per automaton."""
+        return multimap(((src, label), dst) for src, label, dst in self.transitions)
 
     def eps_closure(self, states: Iterable[str]) -> frozenset[str]:
-        seen = set(states)
-        queue = deque(seen)
-        while queue:
-            q = queue.popleft()
-            for src, label, dst in self.transitions:
-                if src == q and label is None and dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return frozenset(seen)
+        delta = self.delta
+        parents, _ = search(states, lambda q: ((None, dst) for dst in delta.get((q, None), ())))
+        return frozenset(parents)
 
     def step(self, states: frozenset[str], token: str) -> frozenset[str]:
-        nxt = {dst for src, label, dst in self.transitions if src in states and label == token}
-        return self.eps_closure(nxt)
+        delta = self.delta
+        return self.eps_closure({dst for q in states for dst in delta.get((q, token), ())})
 
     def accepts(self, w: Word) -> bool:
         current = self.eps_closure({self.initial})
@@ -198,22 +227,15 @@ class Nfa:
 
     def enumerate_bounded(self, max_len: int) -> set[Word]:
         """All accepted words of length at most max_len."""
-        accepted: set[Word] = set()
-        start = self.eps_closure({self.initial})
-        frontier: list[tuple[frozenset[str], Word]] = [(start, ())]
-        seen: set[tuple[frozenset[str], Word]] = {(start, ())}
-        while frontier:
-            nxt_frontier = []
-            for states, w in frontier:
-                if states & self.finals:
-                    accepted.add(w)
-                if len(w) < max_len:
-                    for tok in sorted(self.alphabet):
-                        nstates = self.step(states, tok)
-                        if nstates:
-                            node = (nstates, w + (tok,))
-                            if node not in seen:
-                                seen.add(node)
-                                nxt_frontier.append(node)
-            frontier = nxt_frontier
-        return accepted
+        alphabet = sorted(self.alphabet)
+
+        def successors(node):
+            states, w = node
+            if len(w) < max_len:
+                for tok in alphabet:
+                    nstates = self.step(states, tok)
+                    if nstates:
+                        yield tok, (nstates, w + (tok,))
+
+        parents, _ = search([(self.eps_closure({self.initial}), ())], successors)
+        return {w for states, w in parents if states & self.finals}

@@ -90,10 +90,6 @@ def _parse_ins_rule(text: str) -> InsRule:
     return InsRule(*(_parse_word(p) for p in parts))
 
 
-def _ins_rule_str(r: InsRule) -> str:
-    return f"({word_str(r.left)}|{word_str(r.ins)}|{word_str(r.right)})"
-
-
 def parse_ins(text: str) -> InsSystem:
     alphabet: set[str] = set()
     axioms: set[Word] = set()
@@ -113,7 +109,7 @@ def parse_ins(text: str) -> InsSystem:
 def serialize_ins(sys: InsSystem) -> str:
     lines = ["alphabet: " + " ".join(sorted(sys.alphabet))]
     lines += [f"axiom: {word_str(a)}" for a in sys.axioms.sorted_words()]
-    lines += [f"rule: {_ins_rule_str(r)}" for r in sorted(sys.rules)]
+    lines += [f"rule: {r}" for r in sorted(sys.rules)]
     return "\n".join(lines) + "\n"
 
 
@@ -132,8 +128,12 @@ def parse_gcis(text: str) -> GcInsSystem:
         elif key == "axiom":
             axioms.add(_parse_word(rest))
         elif key == "initial":
+            if initial is not None:
+                raise ParseError("duplicate initial directive")
             initial = rest
         elif key == "final":
+            if final is not None:
+                raise ParseError("duplicate final directive")
             final = rest
         elif key == "edge":
             parts = rest.split()
@@ -144,6 +144,9 @@ def parse_gcis(text: str) -> GcInsSystem:
             raise ParseError(f"unknown directive {key!r}")
     if initial is None or final is None:
         raise ParseError("missing initial or final directive")
+    for what, comp in (("initial", initial), ("final", final)):
+        if comp not in components:
+            raise ParseError(f"{what} component {comp!r} is not declared")
     return GcInsSystem(components, edges, LangSet(axioms), alphabet, initial, final)
 
 
@@ -156,7 +159,7 @@ def serialize_gcis(g: GcInsSystem) -> str:
     ]
     lines += [f"axiom: {word_str(a)}" for a in g.axioms.sorted_words()]
     for src, rule, dst in sorted(g.edges):
-        lines.append(f"edge: {src} {_ins_rule_str(rule)} {dst}")
+        lines.append(f"edge: {src} {rule} {dst}")
     return "\n".join(lines) + "\n"
 
 
@@ -167,7 +170,7 @@ def parse_rcg(text: str) -> RcGrammar:
     control_states: set[str] = set()
     control_initial: str | None = None
     control_finals: set[str] = set()
-    control_edges: set[tuple[str, str | None, str]] = set()
+    control_edges: list[tuple[str, str, str]] = []
     for key, rest in _directive_lines(text):
         if key == "alphabet":
             alphabet.update(rest.split())
@@ -191,8 +194,7 @@ def parse_rcg(text: str) -> RcGrammar:
             parts = rest.split()
             if len(parts) != 3:
                 raise ParseError(f"control-edge needs '<from> <tok> <to>', got {rest!r}")
-            label = None if parts[1] == "eps" else parts[1]
-            control_edges.add((parts[0], label, parts[2]))
+            control_edges.append(tuple(parts))
         else:
             raise ParseError(f"unknown directive {key!r}")
     if control_initial is None:
@@ -200,20 +202,22 @@ def parse_rcg(text: str) -> RcGrammar:
     if sorted(rules) != list(range(len(rules))):
         raise ParseError("rule indices must be 0..n-1 without gaps")
     ordered = tuple(rules[i] for i in range(len(rules)))
-    control = Nfa(
-        control_states,
-        {str(i) for i in range(len(ordered))},
-        control_edges,
-        control_initial,
-        control_finals,
-    )
+    labels = {str(i) for i in range(len(ordered))}
+    transitions = set()
+    for src, label, dst in control_edges:
+        if label != "eps" and label not in labels:
+            raise ParseError(
+                f"control-edge label {label!r} is neither eps nor a rule index < {len(ordered)}"
+            )
+        transitions.add((src, None if label == "eps" else label, dst))
+    control = Nfa(control_states, labels, transitions, control_initial, control_finals)
     return RcGrammar(alphabet, LangSet(axioms), ordered, control)
 
 
 def serialize_rcg(r: RcGrammar) -> str:
     lines = ["alphabet: " + " ".join(sorted(r.alphabet))]
     lines += [f"axiom: {word_str(a)}" for a in r.axioms.sorted_words()]
-    lines += [f"rule: {i} {_ins_rule_str(rule)}" for i, rule in enumerate(r.rules)]
+    lines += [f"rule: {i} {rule}" for i, rule in enumerate(r.rules)]
     lines.append("control-state: " + " ".join(sorted(r.control.states)))
     lines.append(f"control-initial: {r.control.initial}")
     lines.append("control-final: " + " ".join(sorted(r.control.finals)))

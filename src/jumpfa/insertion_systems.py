@@ -4,11 +4,10 @@ context-free (0,0) classes to jumping automata."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from jumpfa.core import Gjfa, Nfa, Rule, Word, word_str
+from jumpfa.core import Gjfa, Nfa, Rule, Word, fresh_state, multimap, search, word_str
 from jumpfa.langops import LangSet
 
 
@@ -74,15 +73,12 @@ def ins_derive_step(sys: InsSystem, w: Word) -> set[Word]:
 
 def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     """Closure of the axioms under the rules, truncated to max_len."""
-    out = {w for w in sys.axioms.words if len(w) <= max_len}
-    queue = deque(out)
-    while queue:
-        w = queue.popleft()
-        for nxt in ins_derive_step(sys, w):
-            if len(nxt) <= max_len and nxt not in out:
-                out.add(nxt)
-                queue.append(nxt)
-    return LangSet(out, max_len)
+
+    def successors(w):
+        return ((None, nxt) for nxt in ins_derive_step(sys, w) if len(nxt) <= max_len)
+
+    parents, _ = search((w for w in sys.axioms.words if len(w) <= max_len), successors)
+    return LangSet(parents, max_len)
 
 
 def ins_classify(sys: InsSystem) -> tuple[int, int, int]:
@@ -120,23 +116,17 @@ class GcInsSystem:
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
     """Words of length <= max_len reachable at the final component."""
-    accepted: set[Word] = set()
-    frontier = {(g.initial, w) for w in g.axioms.words if len(w) <= max_len}
-    seen = set(frontier)
-    queue = deque(frontier)
-    edges_by_src: dict[str, list[tuple[InsRule, str]]] = {}
-    for src, rule, dst in g.edges:
-        edges_by_src.setdefault(src, []).append((rule, dst))
-    while queue:
-        comp, w = queue.popleft()
-        if comp == g.final:
-            accepted.add(w)
+    edges_by_src = multimap((src, (rule, dst)) for src, rule, dst in g.edges)
+
+    def successors(node):
+        comp, w = node
         for rule, dst in edges_by_src.get(comp, ()):
             for nxt in apply_rule(rule, w):
-                if len(nxt) <= max_len and (dst, nxt) not in seen:
-                    seen.add((dst, nxt))
-                    queue.append((dst, nxt))
-    return LangSet(accepted, max_len)
+                if len(nxt) <= max_len:
+                    yield rule, (dst, nxt)
+
+    parents, _ = search(((g.initial, w) for w in g.axioms.words if len(w) <= max_len), successors)
+    return LangSet((w for comp, w in parents if comp == g.final), max_len)
 
 
 def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
@@ -147,11 +137,7 @@ def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
     reaches every final state by a no-op edge, and the final component is the
     automaton's start. The only axiom is the empty word.
     """
-    existing = set(m.states)
-    i = 0
-    while f"_g{i}" in existing:
-        i += 1
-    entry = f"_g{i}"
+    entry = fresh_state(m.states)
     edges = {(r.dst, InsRule((), r.label, ()), r.src) for r in m.rules}
     edges |= {(entry, InsRule((), (), ()), f) for f in m.finals}
     return GcInsSystem(
@@ -164,11 +150,7 @@ def gjfa_from_gcis(g: GcInsSystem) -> Gjfa:
     for _, rule, _ in sorted(g.edges, key=lambda e: (e[0], e[1], e[2])):
         if not rule.context_free:
             raise NonzeroContextError(rule)
-    existing = set(g.components)
-    i = 0
-    while f"_g{i}" in existing:
-        i += 1
-    sink = f"_g{i}"
+    sink = fresh_state(g.components)
     rules = {Rule(dst, rule.ins, src) for src, rule, dst in g.edges}
     rules |= {Rule(g.initial, a, sink) for a in g.axioms.words}
     return Gjfa(g.components | {sink}, g.alphabet, rules, g.final, {sink})
@@ -192,24 +174,20 @@ class RcGrammar:
 
 def rcg_enumerate(r: RcGrammar, max_len: int) -> LangSet:
     """Words derivable along a rule-index sequence the control NFA accepts."""
-    accepted: set[Word] = set()
-    start = r.control.eps_closure({r.control.initial})
-    frontier = {(start, w) for w in r.axioms.words if len(w) <= max_len}
-    seen = set(frontier)
-    queue = deque(frontier)
-    while queue:
-        states, w = queue.popleft()
-        if states & r.control.finals:
-            accepted.add(w)
+    control = r.control
+
+    def successors(node):
+        states, w = node
         for idx, rule in enumerate(r.rules):
-            nstates = r.control.step(states, str(idx))
-            if not nstates:
-                continue
-            for nxt in apply_rule(rule, w):
-                if len(nxt) <= max_len and (nstates, nxt) not in seen:
-                    seen.add((nstates, nxt))
-                    queue.append((nstates, nxt))
-    return LangSet(accepted, max_len)
+            nstates = control.step(states, str(idx))
+            if nstates:
+                for nxt in apply_rule(rule, w):
+                    if len(nxt) <= max_len:
+                        yield idx, (nstates, nxt)
+
+    start = control.eps_closure({control.initial})
+    parents, _ = search(((start, w) for w in r.axioms.words if len(w) <= max_len), successors)
+    return LangSet((w for states, w in parents if states & control.finals), max_len)
 
 
 def rcg_from_gcis(g: GcInsSystem) -> RcGrammar:
@@ -248,10 +226,7 @@ def gcis_from_rcg(r: RcGrammar) -> GcInsSystem:
     if len(finals) == 1:
         final = finals[0]
     else:
-        i = 0
-        while f"_g{i}" in components:
-            i += 1
-        final = f"_g{i}"
+        final = fresh_state(components)
         components.add(final)
         edges |= {(f, noop, final) for f in finals}
     return GcInsSystem(components, edges, r.axioms, r.alphabet, r.control.initial, final)

@@ -12,16 +12,14 @@ step, so a configuration is just (state, word).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Rule, Word
+from jumpfa.core import Gjfa, Rule, Word, search
 from jumpfa.langops import LangSet
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     state: str
     word: Word
 
@@ -51,104 +49,83 @@ def _occurrences(w: Word, v: Word) -> list[int]:
     return [i for i in range(len(w) - len(v) + 1) if w[i : i + len(v)] == v]
 
 
+def _deletions(m: Gjfa):
+    """Successors of the deletion search; a move is (rule, position)."""
+    by_src = m.by_src
+
+    def successors(c):
+        state, w = c
+        for rule in by_src.get(state, ()):
+            n = len(rule.label)
+            for pos in _occurrences(w, rule.label):
+                yield (rule, pos), (rule.dst, w[:pos] + w[pos + n :])
+
+    return successors
+
+
 def delete_successors(m: Gjfa, c: Configuration) -> set[Configuration]:
     """All configurations reachable in one deletion step."""
-    out: set[Configuration] = set()
-    for rule in m.rules:
-        if rule.src != c.state:
-            continue
-        for pos in _occurrences(c.word, rule.label):
-            out.add(Configuration(rule.dst, c.word[:pos] + c.word[pos + len(rule.label) :]))
-    return out
+    return {Configuration(*nxt) for _, nxt in _deletions(m)(c)}
 
 
-def _jump_search(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
-    """Breadth-first deletion search; returns a witness or None."""
-    start = Configuration(m.initial, tuple(w))
-    parents: dict[Configuration, Optional[tuple[Configuration, Rule, int]]] = {start: None}
-    queue = deque([start])
-    rules_by_state: dict[str, list[Rule]] = {}
-    for rule in m.rules:
-        rules_by_state.setdefault(rule.src, []).append(rule)
-    while queue:
-        c = queue.popleft()
-        if c.word == () and c.state in m.finals:
-            steps: list[tuple[Rule, int]] = []
-            cur = c
-            while parents[cur] is not None:
-                prev, rule, pos = parents[cur]
-                steps.append((rule, pos))
-                cur = prev
-            steps.reverse()
-            return AcceptanceWitness(tuple(w), tuple(steps))
-        for rule in rules_by_state.get(c.state, ()):
-            for pos in _occurrences(c.word, rule.label):
-                nxt = Configuration(rule.dst, c.word[:pos] + c.word[pos + len(rule.label) :])
-                if nxt not in parents:
-                    parents[nxt] = (c, rule, pos)
-                    queue.append(nxt)
-    return None
+def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
+    """Breadth-first deletion search; returns the replayable witness on acceptance."""
+    w = tuple(w)
+    goals = {(f, ()) for f in m.finals}
+    parents, node = search([(m.initial, w)], _deletions(m), goals.__contains__)
+    if node is None:
+        return None
+    steps: list[tuple[Rule, int]] = []
+    while parents[node] is not None:
+        node, step = parents[node]
+        steps.append(step)
+    steps.reverse()
+    return AcceptanceWitness(w, tuple(steps))
 
 
 def jump_accepts(m: Gjfa, w: Word) -> bool:
     """Deletion-side acceptance."""
-    return _jump_search(m, w) is not None
+    return acceptance_witness(m, w) is not None
 
 
-def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
-    """Like jump_accepts but returns the replayable witness on acceptance."""
-    return _jump_search(m, w)
+def _insertions(m: Gjfa, max_len: int):
+    """Successors of the backward walk, up to words of length max_len.
+
+    From a rule (q, v, r) the walk moves r -> q, inserting v at any position.
+    Positions that repeat the word of the position before are skipped: an
+    empty v gives the same word everywhere, and a v made of one repeated
+    symbol c gives the same word just after a c as just before it.
+    """
+    by_dst = m.by_dst
+
+    def successors(node):
+        state, u = node
+        room = max_len - len(u)
+        for rule in by_dst.get(state, ()):
+            v = rule.label
+            if len(v) <= room:
+                src = rule.src
+                run = v[0] if v and v.count(v[0]) == len(v) else None
+                for i in range(len(u) + 1 if v else 1):
+                    if i and u[i - 1] == run:
+                        continue
+                    yield rule, (src, u[:i] + v + u[i:])
+
+    return successors
 
 
 def generate_accepts(m: Gjfa, w: Word) -> bool:
     """Generation-side acceptance: backward walk from final states.
 
-    From a rule (q, v, r) the walk moves r -> q, inserting v at any position.
     Words longer than the target are pruned (insertion is length-monotone);
     epsilon-labeled rules are cycle-cut by the visited set.
     """
-    w = tuple(w)
-    target_len = len(w)
-    rules_by_dst: dict[str, list[Rule]] = {}
-    for rule in m.rules:
-        rules_by_dst.setdefault(rule.dst, []).append(rule)
-    frontier: set[tuple[str, Word]] = {(f, ()) for f in m.finals}
-    seen = set(frontier)
-    queue = deque(frontier)
-    while queue:
-        state, u = queue.popleft()
-        if state == m.initial and u == w:
-            return True
-        for rule in rules_by_dst.get(state, ()):
-            if len(u) + len(rule.label) > target_len:
-                continue
-            for i in range(len(u) + 1):
-                node = (rule.src, u[:i] + rule.label + u[i:])
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-    return False
+    goal = (m.initial, tuple(w))
+    _, found = search([(f, ()) for f in m.finals], _insertions(m, len(goal[1])), goal.__eq__)
+    return found is not None
 
 
 def enumerate_language(m: Gjfa, max_len: int) -> LangSet:
     """L(m) truncated to words of length <= max_len, by backward generation."""
-    rules_by_dst: dict[str, list[Rule]] = {}
-    for rule in m.rules:
-        rules_by_dst.setdefault(rule.dst, []).append(rule)
-    accepted: set[Word] = set()
-    frontier: set[tuple[str, Word]] = {(f, ()) for f in m.finals}
-    seen = set(frontier)
-    queue = deque(frontier)
-    while queue:
-        state, u = queue.popleft()
-        if state == m.initial:
-            accepted.add(u)
-        for rule in rules_by_dst.get(state, ()):
-            if len(u) + len(rule.label) > max_len:
-                continue
-            for i in range(len(u) + 1):
-                node = (rule.src, u[:i] + rule.label + u[i:])
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-    return LangSet(accepted, max_len)
+    parents, _ = search([(f, ()) for f in m.finals], _insertions(m, max_len))
+    return LangSet((u for state, u in parents if state == m.initial), max_len)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jumpfa.cli import main
 from jumpfa.corpus import corpus_get
 from jumpfa.formats import serialize_gjfa
@@ -185,3 +187,64 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "enum", "semidyck2_gjfa", "--max-len", "4")
     _, second, _ = run(capsys, "enum", "semidyck2_gjfa", "--max-len", "4")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "alphabet: a\ncomponent: yy\ninitial: zz\nfinal: yy\nfinal: zz\naxiom: eps\n",
+            "error: duplicate final directive",
+        ),
+        (
+            "alphabet: a\ncomponent: yy\ninitial: yy\ninitial: yy\nfinal: yy\n",
+            "error: duplicate initial directive",
+        ),
+        (
+            "alphabet: a\ncomponent: yy\ninitial: zz\nfinal: yy\naxiom: eps\n",
+            "error: initial component 'zz' is not declared",
+        ),
+        (
+            "alphabet: a\ncomponent: yy\ninitial: yy\nfinal: zz\naxiom: eps\n",
+            "error: final component 'zz' is not declared",
+        ),
+    ],
+    ids=["duplicate-final", "duplicate-initial", "undeclared-initial", "undeclared-final"],
+)
+def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, message):
+    gp = tmp_path / "bad.gcis"
+    gp.write_text(text)
+    code, out, err = run(capsys, "convert", "from-gcis", str(gp))
+    assert code == 2 and out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["5", "1", "x"])
+def test_convert_rcg_rejects_out_of_range_label(capsys, tmp_path, label):
+    rp = tmp_path / "bad.rcg"
+    rp.write_text(
+        "alphabet: a\naxiom: eps\nrule: 0 (eps|a|eps)\ncontrol-state: s t\n"
+        f"control-initial: s\ncontrol-final: t\ncontrol-edge: s {label} t\n"
+    )
+    code, out, err = run(capsys, "convert", "rcg-to-gcis", str(rp))
+    assert code == 2 and out == ""
+    assert f"error: control-edge label '{label}' is neither eps nor a rule index < 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enum", "dyck_gjfa", "--max-len", "-3"),
+        ("check", "uc-soundness", "thm1_m", "--max-len", "-1"),
+    ],
+    ids=["enum", "check"],
+)
+def test_negative_max_len_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --max-len: must be >= 0, got {argv[-1]}" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,8 +1,9 @@
 import itertools
 import random
 
-from jumpfa.core import Gjfa, Rule, word
+from jumpfa.core import Gjfa, Rule, degree, word
 from jumpfa.corpus import corpus_get
+from jumpfa.insertion_systems import gcis_enumerate, gcis_from_gjfa, rcg_enumerate, rcg_from_gcis
 from jumpfa.langops import langset
 from jumpfa.semantics import (
     Configuration,
@@ -136,3 +137,41 @@ def test_all_eps_rules_never_loop():
 def test_unreachable_final_accepts_nothing():
     m = Gjfa({"q", "r"}, {"a"}, {Rule("r", ("a",), "r")}, "q", {"r"})
     assert enumerate_language(m, 4) == set()
+
+
+def _random_gjfa(rng):
+    states = [f"q{i}" for i in range(rng.randint(2, 3))]
+    labels = [()] + [(a,) for a in "ab"] + [(a, b) for a in "ab" for b in "ab"]
+    rules = {
+        Rule(rng.choice(states), rng.choice(labels), rng.choice(states))
+        for _ in range(rng.randint(2, 5))
+    }
+    finals = rng.sample(states, rng.randint(1, len(states)))
+    return Gjfa(states, "ab", rules, states[0], finals)
+
+
+def test_search_kernel_differential_random_gjfa():
+    # every bounded search built on the kernel must agree on random small automata
+    rng = random.Random(2015)
+    machines = [_random_gjfa(rng) for _ in range(20)]
+    assert any(degree(m) == 2 for m in machines)
+    assert any(not r.label for m in machines for r in m.rules)
+    for m in machines:
+        accepted = set()
+        for n in range(6):
+            for w in itertools.product("ab", repeat=n):
+                witness = acceptance_witness(m, w)
+                assert jump_accepts(m, w) == (witness is not None) == generate_accepts(m, w), (m, w)
+                if witness is None:
+                    continue
+                accepted.add(w)
+                assert witness.replay() == w
+                state = m.initial
+                for rule, _pos in witness.steps:
+                    assert rule in m.rules and rule.src == state
+                    state = rule.dst
+                assert state in m.finals
+        assert enumerate_language(m, 5) == accepted
+        g = gcis_from_gjfa(m)
+        assert gcis_enumerate(g, 5) == accepted
+        assert rcg_enumerate(rcg_from_gcis(g), 5) == accepted
