@@ -16,8 +16,14 @@ class ParseError(ValueError):
     pass
 
 
-def _directive_lines(text: str) -> list[tuple[str, str]]:
-    out = []
+def _directives(text: str, once: tuple[str, ...], many: tuple[str, ...]) -> dict:
+    """Read the ``<directive>: <value>`` lines of a file.
+
+    ``#`` comments and blank lines are skipped. Each ``once`` directive must
+    appear exactly once and maps to its value; each ``many`` directive maps
+    to the list of its values in file order.
+    """
+    values = {key: [] for key in once + many}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -25,8 +31,30 @@ def _directive_lines(text: str) -> list[tuple[str, str]]:
         if ":" not in line:
             raise ParseError(f"line {lineno}: expected '<directive>: ...', got {raw!r}")
         key, _, rest = line.partition(":")
-        out.append((key.strip(), rest.strip()))
-    return out
+        key = key.strip()
+        if key not in values:
+            raise ParseError(f"unknown directive {key!r}")
+        if key in once and values[key]:
+            raise ParseError(f"duplicate {key} directive")
+        values[key].append(rest.strip())
+    for key in once:
+        if not values[key]:
+            raise ParseError(f"missing {key} directive")
+        values[key] = values[key][0]
+    return values
+
+
+def _fields(rest: str, n: int, usage: str) -> list[str]:
+    """Split a directive value into exactly n whitespace-separated fields."""
+    parts = rest.split()
+    if len(parts) != n:
+        raise ParseError(f"{usage}, got {rest!r}")
+    return parts
+
+
+def _tokens(values: list[str]) -> set[str]:
+    """The union of the whitespace-separated tokens of every value."""
+    return {tok for value in values for tok in value.split()}
 
 
 def _parse_word(text: str) -> Word:
@@ -41,32 +69,13 @@ def _rule_sort_key(r: Rule):
 
 
 def parse_gjfa(text: str) -> Gjfa:
-    alphabet: set[str] = set()
-    states: set[str] = set()
-    initial: str | None = None
-    finals: set[str] = set()
-    rules: set[Rule] = set()
-    for key, rest in _directive_lines(text):
-        if key == "alphabet":
-            alphabet.update(rest.split())
-        elif key == "states":
-            states.update(rest.split())
-        elif key == "initial":
-            if initial is not None:
-                raise ParseError("duplicate initial directive")
-            initial = rest
-        elif key == "final":
-            finals.update(rest.split())
-        elif key == "rule":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(f"rule needs '<from> <label> <to>', got {rest!r}")
-            rules.add(Rule(parts[0], _parse_word(parts[1]), parts[2]))
-        else:
-            raise ParseError(f"unknown directive {key!r}")
-    if initial is None:
-        raise ParseError("missing initial directive")
-    return Gjfa(states, alphabet, rules, initial, finals)
+    d = _directives(text, ("initial",), ("alphabet", "states", "final", "rule"))
+    rules = set()
+    for rest in d["rule"]:
+        src, label, dst = _fields(rest, 3, "rule needs '<from> <label> <to>'")
+        rules.add(Rule(src, _parse_word(label), dst))
+    states, alphabet, finals = _tokens(d["states"]), _tokens(d["alphabet"]), _tokens(d["final"])
+    return Gjfa(states, alphabet, rules, d["initial"], finals)
 
 
 def serialize_gjfa(m: Gjfa) -> str:
@@ -91,19 +100,9 @@ def _parse_ins_rule(text: str) -> InsRule:
 
 
 def parse_ins(text: str) -> InsSystem:
-    alphabet: set[str] = set()
-    axioms: set[Word] = set()
-    rules: set[InsRule] = set()
-    for key, rest in _directive_lines(text):
-        if key == "alphabet":
-            alphabet.update(rest.split())
-        elif key == "axiom":
-            axioms.add(_parse_word(rest))
-        elif key == "rule":
-            rules.add(_parse_ins_rule(rest))
-        else:
-            raise ParseError(f"unknown directive {key!r}")
-    return InsSystem(alphabet, LangSet(axioms), rules)
+    d = _directives(text, (), ("alphabet", "axiom", "rule"))
+    axioms = LangSet(map(_parse_word, d["axiom"]))
+    return InsSystem(_tokens(d["alphabet"]), axioms, map(_parse_ins_rule, d["rule"]))
 
 
 def serialize_ins(sys: InsSystem) -> str:
@@ -114,40 +113,17 @@ def serialize_ins(sys: InsSystem) -> str:
 
 
 def parse_gcis(text: str) -> GcInsSystem:
-    alphabet: set[str] = set()
-    components: set[str] = set()
-    axioms: set[Word] = set()
-    edges: set[tuple[str, InsRule, str]] = set()
-    initial: str | None = None
-    final: str | None = None
-    for key, rest in _directive_lines(text):
-        if key == "alphabet":
-            alphabet.update(rest.split())
-        elif key == "component":
-            components.update(rest.split())
-        elif key == "axiom":
-            axioms.add(_parse_word(rest))
-        elif key == "initial":
-            if initial is not None:
-                raise ParseError("duplicate initial directive")
-            initial = rest
-        elif key == "final":
-            if final is not None:
-                raise ParseError("duplicate final directive")
-            final = rest
-        elif key == "edge":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(f"edge needs '<from> (<l>|<i>|<r>) <to>', got {rest!r}")
-            edges.add((parts[0], _parse_ins_rule(parts[1]), parts[2]))
-        else:
-            raise ParseError(f"unknown directive {key!r}")
-    if initial is None or final is None:
-        raise ParseError("missing initial or final directive")
-    for what, comp in (("initial", initial), ("final", final)):
-        if comp not in components:
-            raise ParseError(f"{what} component {comp!r} is not declared")
-    return GcInsSystem(components, edges, LangSet(axioms), alphabet, initial, final)
+    d = _directives(text, ("initial", "final"), ("alphabet", "component", "axiom", "edge"))
+    axioms = LangSet(map(_parse_word, d["axiom"]))
+    edges = set()
+    for rest in d["edge"]:
+        src, rule, dst = _fields(rest, 3, "edge needs '<from> (<l>|<i>|<r>) <to>'")
+        edges.add((src, _parse_ins_rule(rule), dst))
+    components = _tokens(d["component"])
+    for what in ("initial", "final"):
+        if d[what] not in components:
+            raise ParseError(f"{what} component {d[what]!r} is not declared")
+    return GcInsSystem(components, edges, axioms, _tokens(d["alphabet"]), d["initial"], d["final"])
 
 
 def serialize_gcis(g: GcInsSystem) -> str:
@@ -164,54 +140,40 @@ def serialize_gcis(g: GcInsSystem) -> str:
 
 
 def parse_rcg(text: str) -> RcGrammar:
-    alphabet: set[str] = set()
-    axioms: set[Word] = set()
+    d = _directives(
+        text,
+        ("control-initial",),
+        ("alphabet", "axiom", "rule", "control-state", "control-final", "control-edge"),
+    )
+    axioms = LangSet(map(_parse_word, d["axiom"]))
     rules: dict[int, InsRule] = {}
-    control_states: set[str] = set()
-    control_initial: str | None = None
-    control_finals: set[str] = set()
-    control_edges: list[tuple[str, str, str]] = []
-    for key, rest in _directive_lines(text):
-        if key == "alphabet":
-            alphabet.update(rest.split())
-        elif key == "axiom":
-            axioms.add(_parse_word(rest))
-        elif key == "rule":
-            parts = rest.split()
-            if len(parts) != 2 or not parts[0].isdigit():
-                raise ParseError(f"rule needs '<index> (<l>|<i>|<r>)', got {rest!r}")
-            idx = int(parts[0])
-            if idx in rules:
-                raise ParseError(f"duplicate rule index {idx}")
-            rules[idx] = _parse_ins_rule(parts[1])
-        elif key == "control-state":
-            control_states.update(rest.split())
-        elif key == "control-initial":
-            control_initial = rest
-        elif key == "control-final":
-            control_finals.update(rest.split())
-        elif key == "control-edge":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(f"control-edge needs '<from> <tok> <to>', got {rest!r}")
-            control_edges.append(tuple(parts))
-        else:
-            raise ParseError(f"unknown directive {key!r}")
-    if control_initial is None:
-        raise ParseError("missing control-initial directive")
+    usage = "rule needs '<index> (<l>|<i>|<r>)'"
+    for rest in d["rule"]:
+        idx, rule = _fields(rest, 2, usage)
+        if not idx.isdigit():
+            raise ParseError(f"{usage}, got {rest!r}")
+        if int(idx) in rules:
+            raise ParseError(f"duplicate rule index {int(idx)}")
+        rules[int(idx)] = _parse_ins_rule(rule)
     if sorted(rules) != list(range(len(rules))):
         raise ParseError("rule indices must be 0..n-1 without gaps")
     ordered = tuple(rules[i] for i in range(len(rules)))
     labels = {str(i) for i in range(len(ordered))}
     transitions = set()
-    for src, label, dst in control_edges:
+    for rest in d["control-edge"]:
+        src, label, dst = _fields(rest, 3, "control-edge needs '<from> <tok> <to>'")
         if label != "eps" and label not in labels:
             raise ParseError(
                 f"control-edge label {label!r} is neither eps nor a rule index < {len(ordered)}"
             )
         transitions.add((src, None if label == "eps" else label, dst))
-    control = Nfa(control_states, labels, transitions, control_initial, control_finals)
-    return RcGrammar(alphabet, LangSet(axioms), ordered, control)
+    states, finals = _tokens(d["control-state"]), _tokens(d["control-final"])
+    for what, names in (("control-initial", {d["control-initial"]}), ("control-final", finals)):
+        undeclared = sorted(names - states)
+        if undeclared:
+            raise ParseError(f"{what} state {undeclared[0]!r} is not declared")
+    control = Nfa(states, labels, transitions, d["control-initial"], finals)
+    return RcGrammar(_tokens(d["alphabet"]), axioms, ordered, control)
 
 
 def serialize_rcg(r: RcGrammar) -> str:

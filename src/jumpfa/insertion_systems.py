@@ -35,6 +35,10 @@ class InsRule:
         return f"({word_str(self.left)}|{word_str(self.ins)}|{word_str(self.right)})"
 
 
+# The rule that inserts nothing: a move that only changes component or state.
+_NOOP = InsRule((), (), ())
+
+
 @dataclass(frozen=True)
 class InsSystem:
     alphabet: frozenset[str]
@@ -71,14 +75,29 @@ def ins_derive_step(sys: InsSystem, w: Word) -> set[Word]:
     return out
 
 
+def _derivations(edges, initial: str, axioms: LangSet, max_len: int) -> dict:
+    """The search's parent map over (node, word) pairs from (initial, axiom).
+
+    Each (src, rule, dst) edge applies rule to a word at src; words longer
+    than max_len are pruned.
+    """
+    edges_by_src = multimap((src, (rule, dst)) for src, rule, dst in edges)
+
+    def successors(node):
+        src, w = node
+        for rule, dst in edges_by_src.get(src, ()):
+            for nxt in apply_rule(rule, w):
+                if len(nxt) <= max_len:
+                    yield rule, (dst, nxt)
+
+    parents, _ = search(((initial, w) for w in axioms.words if len(w) <= max_len), successors)
+    return parents
+
+
 def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     """Closure of the axioms under the rules, truncated to max_len."""
-
-    def successors(w):
-        return ((None, nxt) for nxt in ins_derive_step(sys, w) if len(nxt) <= max_len)
-
-    parents, _ = search((w for w in sys.axioms.words if len(w) <= max_len), successors)
-    return LangSet(parents, max_len)
+    parents = _derivations({("", rule, "") for rule in sys.rules}, "", sys.axioms, max_len)
+    return LangSet((w for _, w in parents), max_len)
 
 
 def ins_classify(sys: InsSystem) -> tuple[int, int, int]:
@@ -116,16 +135,7 @@ class GcInsSystem:
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
     """Words of length <= max_len reachable at the final component."""
-    edges_by_src = multimap((src, (rule, dst)) for src, rule, dst in g.edges)
-
-    def successors(node):
-        comp, w = node
-        for rule, dst in edges_by_src.get(comp, ()):
-            for nxt in apply_rule(rule, w):
-                if len(nxt) <= max_len:
-                    yield rule, (dst, nxt)
-
-    parents, _ = search(((g.initial, w) for w in g.axioms.words if len(w) <= max_len), successors)
+    parents = _derivations(g.edges, g.initial, g.axioms, max_len)
     return LangSet((w for comp, w in parents if comp == g.final), max_len)
 
 
@@ -139,7 +149,7 @@ def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
     """
     entry = fresh_state(m.states)
     edges = {(r.dst, InsRule((), r.label, ()), r.src) for r in m.rules}
-    edges |= {(entry, InsRule((), (), ()), f) for f in m.finals}
+    edges |= {(entry, _NOOP, f) for f in m.finals}
     return GcInsSystem(
         m.states | {entry}, edges, LangSet([()]), m.alphabet, entry, m.initial
     )
@@ -172,22 +182,18 @@ class RcGrammar:
         object.__setattr__(self, "control", control)
 
 
+def _control_edges(r: RcGrammar) -> set[tuple[str, InsRule, str]]:
+    """The control transitions as insertion edges; an eps move inserts nothing."""
+    return {
+        (src, _NOOP if label is None else r.rules[int(label)], dst)
+        for src, label, dst in r.control.transitions
+    }
+
+
 def rcg_enumerate(r: RcGrammar, max_len: int) -> LangSet:
     """Words derivable along a rule-index sequence the control NFA accepts."""
-    control = r.control
-
-    def successors(node):
-        states, w = node
-        for idx, rule in enumerate(r.rules):
-            nstates = control.step(states, str(idx))
-            if nstates:
-                for nxt in apply_rule(rule, w):
-                    if len(nxt) <= max_len:
-                        yield idx, (nstates, nxt)
-
-    start = control.eps_closure({control.initial})
-    parents, _ = search(((start, w) for w in r.axioms.words if len(w) <= max_len), successors)
-    return LangSet((w for states, w in parents if states & control.finals), max_len)
+    parents = _derivations(_control_edges(r), r.control.initial, r.axioms, max_len)
+    return LangSet((w for state, w in parents if state in r.control.finals), max_len)
 
 
 def rcg_from_gcis(g: GcInsSystem) -> RcGrammar:
@@ -217,10 +223,7 @@ def gcis_from_rcg(r: RcGrammar) -> GcInsSystem:
     for rule in r.rules:
         if not rule.context_free:
             raise NonzeroContextError(rule)
-    noop = InsRule((), (), ())
-    edges: set[tuple[str, InsRule, str]] = set()
-    for src, label, dst in r.control.transitions:
-        edges.add((src, noop if label is None else r.rules[int(label)], dst))
+    edges = _control_edges(r)
     components = set(r.control.states)
     finals = sorted(r.control.finals)
     if len(finals) == 1:
@@ -228,5 +231,5 @@ def gcis_from_rcg(r: RcGrammar) -> GcInsSystem:
     else:
         final = fresh_state(components)
         components.add(final)
-        edges |= {(f, noop, final) for f in finals}
+        edges |= {(f, _NOOP, final) for f in finals}
     return GcInsSystem(components, edges, r.axioms, r.alphabet, r.control.initial, final)

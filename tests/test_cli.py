@@ -220,6 +220,33 @@ def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "control, message",
+    [
+        (
+            "control-state: s t\ncontrol-initial: s\ncontrol-initial: t\ncontrol-final: t\n",
+            "error: duplicate control-initial directive",
+        ),
+        (
+            "control-state: s t\ncontrol-initial: zz\ncontrol-final: t\n",
+            "error: control-initial state 'zz' is not declared",
+        ),
+        (
+            "control-state: s t\ncontrol-initial: s\ncontrol-final: t zz\n",
+            "error: control-final state 'zz' is not declared",
+        ),
+    ],
+    ids=["duplicate-initial", "undeclared-initial", "undeclared-final"],
+)
+def test_convert_rcg_rejects_bad_control_initial_or_final(capsys, tmp_path, control, message):
+    rp = tmp_path / "bad.rcg"
+    rp.write_text("alphabet: a\naxiom: eps\nrule: 0 (eps|a|eps)\ncontrol-edge: s 0 t\n" + control)
+    code, out, err = run(capsys, "convert", "rcg-to-gcis", str(rp))
+    assert code == 2 and out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("label", ["5", "1", "x"])
 def test_convert_rcg_rejects_out_of_range_label(capsys, tmp_path, label):
     rp = tmp_path / "bad.rcg"

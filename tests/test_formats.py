@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpfa.core import Gjfa, Rule
+from jumpfa.core import Gjfa, Nfa, Rule
 from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.formats import (
     ParseError,
@@ -15,8 +17,15 @@ from jumpfa.formats import (
     serialize_ins,
     serialize_rcg,
 )
-from jumpfa.insertion_systems import InsRule, InsSystem, gcis_from_gjfa, rcg_from_gcis
-from jumpfa.langops import langset
+from jumpfa.insertion_systems import (
+    GcInsSystem,
+    InsRule,
+    InsSystem,
+    RcGrammar,
+    gcis_from_gjfa,
+    rcg_from_gcis,
+)
+from jumpfa.langops import LangSet, langset
 
 SAMPLE = """\
 # degree-2 two-state automaton
@@ -105,3 +114,91 @@ def test_round_trip_random_automata(states, triples):
     text = serialize_gjfa(m)
     assert parse_gjfa(text) == m
     assert serialize_gjfa(parse_gjfa(text)) == text
+
+
+symbols = st.sets(st.sampled_from(["a", "b", "c"]))
+ins_rules = st.builds(InsRule, labels, labels, labels)
+axiom_sets = st.sets(labels, max_size=3).map(LangSet)
+
+
+@given(symbols, axiom_sets, st.sets(ins_rules, max_size=4))
+def test_round_trip_random_ins(alphabet, axioms, rules):
+    sys = InsSystem(alphabet, axioms, rules)
+    text = serialize_ins(sys)
+    assert parse_ins(text) == sys
+    assert serialize_ins(parse_ins(text)) == text
+
+
+@st.composite
+def gcis_systems(draw):
+    components = sorted(draw(st.sets(state_names, min_size=1)))
+    nodes = st.sampled_from(components)
+    edges = draw(st.sets(st.tuples(nodes, ins_rules, nodes), max_size=5))
+    return GcInsSystem(
+        components, edges, draw(axiom_sets), draw(symbols), draw(nodes), draw(nodes)
+    )
+
+
+@given(gcis_systems())
+def test_round_trip_random_gcis(g):
+    text = serialize_gcis(g)
+    assert parse_gcis(text) == g
+    assert serialize_gcis(parse_gcis(text)) == text
+
+
+@st.composite
+def rcg_grammars(draw):
+    rules = tuple(draw(st.lists(ins_rules, max_size=3)))
+    states = sorted(draw(st.sets(state_names, min_size=1)))
+    nodes = st.sampled_from(states)
+    indices = [str(i) for i in range(len(rules))]
+    tokens = st.sampled_from([None, *indices])
+    transitions = draw(st.sets(st.tuples(nodes, tokens, nodes), max_size=5))
+    finals = draw(st.sets(nodes))
+    control = Nfa(states, indices, transitions, draw(nodes), finals)
+    return RcGrammar(draw(symbols), draw(axiom_sets), rules, control)
+
+
+@given(rcg_grammars())
+def test_round_trip_random_rcg(r):
+    text = serialize_rcg(r)
+    assert parse_rcg(text) == r
+    assert serialize_rcg(parse_rcg(text)) == text
+
+
+# A minimal valid file per format, and its exactly-once directives.
+VALID = {
+    "gjfa": (parse_gjfa, "alphabet: a\nstates: q\ninitial: q\nfinal: q\n", ("initial",)),
+    "ins": (parse_ins, "alphabet: a\naxiom: eps\n", ()),
+    "gcis": (
+        parse_gcis,
+        "alphabet: a\ncomponent: c\ninitial: c\nfinal: c\naxiom: eps\n",
+        ("initial", "final"),
+    ),
+    "rcg": (
+        parse_rcg,
+        "alphabet: a\naxiom: eps\ncontrol-state: s\ncontrol-initial: s\ncontrol-final: s\n",
+        ("control-initial",),
+    ),
+}
+
+
+def reader_cases():
+    for fmt, (parse, text, once) in VALID.items():
+        yield pytest.param(
+            parse, text + "bogus: x\n", "unknown directive 'bogus'", id=f"{fmt}-unknown"
+        )
+        for key in once:
+            line = next(l for l in text.splitlines(keepends=True) if l.startswith(f"{key}:"))
+            yield pytest.param(
+                parse, text + line, f"duplicate {key} directive", id=f"{fmt}-duplicate-{key}"
+            )
+            yield pytest.param(
+                parse, text.replace(line, ""), f"missing {key} directive", id=f"{fmt}-missing-{key}"
+            )
+
+
+@pytest.mark.parametrize("parse, text, message", reader_cases())
+def test_directive_rules_are_shared(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)

@@ -190,3 +190,22 @@ def test_single_component_ins_system_is_insert_star():
     sys = InsSystem({"a", "b"}, axioms, rules)
     k = LangSet([("a",), ("b", "b")])
     assert ins_enumerate(sys, 5) == insert_star_bounded(axioms, k, 5)
+
+
+def eps_two_final_control():
+    # p0 -0-> p1, and p0 -eps-> p2 -1-> p3 with a 1-loop on p3; p1 and p3 final.
+    transitions = {("p0", "0", "p1"), ("p0", None, "p2"), ("p2", "1", "p3"), ("p3", "1", "p3")}
+    return Nfa({"p0", "p1", "p2", "p3"}, {"0", "1"}, transitions, "p0", {"p1", "p3"})
+
+
+def test_rcg_enumerate_eps_move_two_finals_and_context():
+    rules = (InsRule((), ("c",), ()), InsRule(("a",), ("b",), ()))
+    r = RcGrammar({"a", "b", "c"}, langset("a.a"), rules, eps_two_final_control())
+    assert rcg_enumerate(r, 2) == set()
+    assert rcg_enumerate(r, 3) == langset("c.a.a", "a.c.a", "a.a.c", "a.b.a", "a.a.b")
+
+
+def test_rcg_enumerate_eps_move_two_finals_matches_gcis():
+    rules = (InsRule((), ("c",), ()), InsRule((), ("b",), ()))
+    r = RcGrammar({"a", "b", "c"}, langset("a.a"), rules, eps_two_final_control())
+    assert rcg_enumerate(r, 5) == gcis_enumerate(gcis_from_rcg(r), 5)
