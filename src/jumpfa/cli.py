@@ -14,7 +14,7 @@ import os
 import sys
 
 from jumpfa import analysis, constructions, corpus, formats, semantics
-from jumpfa.core import Gjfa, degree, validate, word, word_str
+from jumpfa.core import Gjfa, validate, word, word_str
 from jumpfa.langops import LangSet
 
 
@@ -22,23 +22,24 @@ class CliError(Exception):
     pass
 
 
+def _corpus_value(name: str, kind: str, noun: str):
+    """The value of a corpus entry, which must be of the given kind."""
+    try:
+        entry = corpus.corpus_get(name)
+    except KeyError:
+        raise CliError(f"unknown corpus name: {name}") from None
+    if entry.kind != kind:
+        raise CliError(f"corpus entry {name} is a {entry.kind}, not {noun}")
+    return entry.value
+
+
 def _load_gjfa(name: str) -> Gjfa:
     """Resolve a corpus name (corpus names win over files; prefix to force)."""
-    if name.startswith("corpus:"):
-        entry = corpus.corpus_get(name[len("corpus:") :])
-    else:
-        try:
-            entry = corpus.corpus_get(name)
-        except KeyError:
-            entry = None
-    if entry is not None:
-        if entry.kind != "gjfa":
-            raise CliError(f"corpus entry {entry.name} is a {entry.kind}, not an automaton")
-        return entry.value
+    if name.startswith("corpus:") or name in {n for n, _, _ in corpus.corpus_list()}:
+        return _corpus_value(name.removeprefix("corpus:"), "gjfa", "an automaton")
     if not os.path.exists(name):
         raise CliError(f"no such file or corpus entry: {name}")
-    with open(name, encoding="utf-8") as fh:
-        m = formats.parse_gjfa(fh.read())
+    m = formats.parse_gjfa(_read(name))
     diags = validate(m)
     if diags:
         raise CliError("; ".join(diags))
@@ -93,32 +94,27 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    if args.operation == "reverse":
-        out = constructions.reverse_gjfa(_load_gjfa(args.inputs[0]))
-    elif args.operation == "union":
-        if len(args.inputs) != 2:
-            raise CliError("union takes two automata")
-        out = constructions.union_gjfa(_load_gjfa(args.inputs[0]), _load_gjfa(args.inputs[1]))
-    elif args.operation in ("insert", "insert-star"):
-        m = _load_gjfa(args.inputs[0])
-        k = LangSet(word(t) for t in args.inputs[1:])
-        build = (
-            constructions.insert_gjfa
-            if args.operation == "insert"
-            else constructions.insert_star_gjfa
-        )
-        out = build(m, k)
-    elif args.operation == "finite":
-        if not args.alphabet:
-            raise CliError("finite requires --alphabet")
-        alphabet = word(args.alphabet)
-        k = LangSet(word(t) for t in args.inputs)
-        out = constructions.finite_gjfa(k, alphabet)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown transform {args.operation}")
-    sys.stdout.write(formats.serialize_gjfa(out))
+def _print_gjfa(m: Gjfa) -> int:
+    sys.stdout.write(formats.serialize_gjfa(m))
     return 0
+
+
+def _cmd_reverse(args) -> int:
+    return _print_gjfa(constructions.reverse_gjfa(_load_gjfa(args.automaton)))
+
+
+def _cmd_union(args) -> int:
+    return _print_gjfa(constructions.union_gjfa(_load_gjfa(args.a), _load_gjfa(args.b)))
+
+
+def _cmd_insert(args) -> int:
+    m = _load_gjfa(args.automaton)
+    return _print_gjfa(args.build(m, LangSet(map(word, args.words))))
+
+
+def _cmd_finite(args) -> int:
+    alphabet = word(args.alphabet)
+    return _print_gjfa(constructions.finite_gjfa(LangSet(map(word, args.words)), alphabet))
 
 
 def _cmd_convert(args) -> int:
@@ -139,64 +135,44 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _oracle(name: str):
-    entry = corpus.corpus_get(name)
-    if entry.kind != "predicate":
-        raise CliError(f"corpus entry {name} is a {entry.kind}, not a predicate")
-    return entry.value
+def _cmd_bounded(args) -> int:
+    report = args.check(_load_gjfa(args.a), _load_gjfa(args.b), args.max_len)
+    counterexamples = [word_str(w) for w in report.counterexamples]
+    payload = {"result": args.result, "holds": report.equal, "bound": report.bound}
+    _emit({**payload, "counterexamples": counterexamples}, args.json)
+    return 0 if report.equal else 1
 
 
-def _cmd_check(args) -> int:
-    if args.kind in ("equiv", "inclusion"):
-        a = _load_gjfa(args.args[0])
-        b = _load_gjfa(args.args[1])
-        fn = analysis.bounded_equiv if args.kind == "equiv" else analysis.bounded_inclusion
-        report = fn(a, b, args.max_len)
-        _emit(
-            {
-                "result": "equal" if args.kind == "equiv" else "included",
-                "holds": report.equal,
-                "bound": report.bound,
-                "counterexamples": [word_str(w) for w in report.counterexamples],
-            },
-            args.json,
-        )
-        return 0 if report.equal else 1
-    if args.kind == "uc-falsify":
-        if not args.oracle or not args.word:
-            raise CliError("uc-falsify requires --oracle and --word")
-        report = analysis.uc_condition(_oracle(args.oracle), word(args.word), args.degree)
-        payload = {
-            "verdict": report.verdict,
-            "word": word_str(report.word),
-            "degree": report.degree,
-            "trivial": report.trivial,
-        }
-        if report.witness:
-            payload["witness"] = [word_str(part) for part in report.witness]
-        else:
-            payload["violations"] = [
-                {
-                    "factorization": [word_str(p) for p in fact],
-                    "split": [word_str(p) for p in split],
-                }
-                for fact, split in report.violations
-            ]
-        _emit(payload, args.json)
-        return 0 if report.passes else 1
-    if args.kind == "uc-soundness":
-        m = _load_gjfa(args.args[0])
-        ok = analysis.uc_soundness_check(m, args.max_len)
-        _emit({"sound": ok, "bound": args.max_len}, args.json)
-        return 0 if ok else 1
-    if args.kind == "jfa-parikh":
-        m = _load_gjfa(args.args[0])
-        if degree(m) > 1:
-            raise CliError(f"degree {degree(m)} > 1: not a jumping finite automaton")
-        ok = analysis.jfa_permutation_check(m, args.max_len)
-        _emit({"permutation_closure": ok, "bound": args.max_len}, args.json)
-        return 0 if ok else 1
-    raise CliError(f"unknown check {args.kind}")  # pragma: no cover
+def _cmd_uc_falsify(args) -> int:
+    oracle = _corpus_value(args.oracle, "predicate", "a predicate")
+    report = analysis.uc_condition(oracle, word(args.word), args.degree)
+    payload = {
+        "verdict": report.verdict,
+        "word": word_str(report.word),
+        "degree": report.degree,
+        "trivial": report.trivial,
+    }
+    if report.witness:
+        payload["witness"] = [word_str(part) for part in report.witness]
+    else:
+        payload["violations"] = [
+            {"factorization": [word_str(p) for p in fact], "split": [word_str(p) for p in split]}
+            for fact, split in report.violations
+        ]
+    _emit(payload, args.json)
+    return 0 if report.passes else 1
+
+
+def _cmd_uc_soundness(args) -> int:
+    ok = analysis.uc_soundness_check(_load_gjfa(args.automaton), args.max_len)
+    _emit({"sound": ok, "bound": args.max_len}, args.json)
+    return 0 if ok else 1
+
+
+def _cmd_jfa_parikh(args) -> int:
+    ok = analysis.jfa_permutation_check(_load_gjfa(args.automaton), args.max_len)
+    _emit({"permutation_closure": ok, "bound": args.max_len}, args.json)
+    return 0 if ok else 1
 
 
 def _cmd_corpus(args) -> int:
@@ -205,48 +181,65 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _add(sub, name, fn, *positionals, help, max_len=False, as_json=False, **defaults):
+    """Add subcommand name with the given positionals and options; it runs fn(args)."""
+    p = sub.add_parser(name, help=help)
+    for positional in positionals:
+        p.add_argument(positional)
+    if max_len:
+        p.add_argument("--max-len", type=non_negative_int, default=8)
+    if as_json:
+        p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=fn, **defaults)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jumpfa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("member", help="test word membership")
-    p.add_argument("automaton")
-    p.add_argument("word")
+    p = _add(sub, "member", _cmd_member, "automaton", "word", help="test word membership")
     p.add_argument("--semantics", choices=["jump", "generate", "both"], default="jump")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_member)
+    _add(sub, "enum", _cmd_enum, "automaton", help="enumerate the bounded language", max_len=True)
 
-    p = sub.add_parser("enum", help="enumerate the bounded language")
-    p.add_argument("automaton")
-    p.add_argument("--max-len", type=non_negative_int, default=8)
-    p.set_defaults(fn=_cmd_enum)
-
-    p = sub.add_parser("transform", help="build a derived automaton")
-    p.add_argument(
-        "operation", choices=["reverse", "union", "insert", "insert-star", "finite"]
-    )
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--alphabet", help="dot-separated symbols (finite only)")
-    p.set_defaults(fn=_cmd_transform)
+    ops = sub.add_parser("transform", help="build a derived automaton")
+    ops = ops.add_subparsers(dest="operation", required=True)
+    _add(ops, "reverse", _cmd_reverse, "automaton", help="reversal L^R")
+    _add(ops, "union", _cmd_union, "a", "b", help="union L(a) | L(b)")
+    for name, build, text in (
+        ("insert", constructions.insert_gjfa, "L <- K: insert one of the words"),
+        ("insert-star", constructions.insert_star_gjfa, "L <-* K: insert the words repeatedly"),
+    ):
+        p = _add(ops, name, _cmd_insert, "automaton", help=text, build=build)
+        p.add_argument("words", nargs="*", default=[])
+    p = _add(ops, "finite", _cmd_finite, help="the finite language of the words")
+    p.add_argument("words", nargs="*", default=[])
+    p.add_argument("--alphabet", required=True, help="dot-separated symbols")
 
     p = sub.add_parser("convert", help="convert between automata and systems")
-    p.add_argument(
-        "direction", choices=["to-gcis", "from-gcis", "gcis-to-rcg", "rcg-to-gcis"]
-    )
+    p.add_argument("direction", choices=["to-gcis", "from-gcis", "gcis-to-rcg", "rcg-to-gcis"])
     p.add_argument("input")
     p.set_defaults(fn=_cmd_convert)
 
-    p = sub.add_parser("check", help="run an analysis check")
-    p.add_argument(
-        "kind", choices=["equiv", "inclusion", "uc-falsify", "uc-soundness", "jfa-parikh"]
-    )
-    p.add_argument("args", nargs="*")
-    p.add_argument("--max-len", type=non_negative_int, default=8)
+    kinds = sub.add_parser("check", help="run an analysis check")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    for name, check, result, text in (
+        ("equiv", analysis.bounded_equiv, "equal", "L(a) = L(b) up to --max-len"),
+        ("inclusion", analysis.bounded_inclusion, "included", "L(a) <= L(b) up to --max-len"),
+    ):
+        _add(kinds, name, _cmd_bounded, "a", "b", help=text, max_len=True, as_json=True,
+             check=check, result=result)
+    text = "union-of-compositions condition on --word"
+    p = _add(kinds, "uc-falsify", _cmd_uc_falsify, help=text, as_json=True)
+    p.add_argument("--oracle", required=True)
+    p.add_argument("--word", required=True)
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--word")
-    p.add_argument("--oracle")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_check)
+    for name, fn, text in (
+        ("uc-soundness", _cmd_uc_soundness, "every accepted word passes uc-falsify"),
+        ("jfa-parikh", _cmd_jfa_parikh, "degree-1 language is its permutation closure"),
+    ):
+        _add(kinds, name, fn, "automaton", help=text, max_len=True, as_json=True)
 
     p = sub.add_parser("corpus", help="list built-in corpus entries")
     p.add_argument("action", choices=["list"])
@@ -260,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, formats.ParseError, KeyError, ValueError, IndexError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,6 @@ EPS_TOKEN = "eps"
 # A word is a tuple of symbol tokens; () is the empty word.
 Word = tuple[str, ...]
 
-EMPTY_WORD: Word = ()
-
 
 def check_symbol(name: str) -> str:
     """Validate a symbol (or state) token and return it."""

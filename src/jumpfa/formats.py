@@ -57,6 +57,14 @@ def _tokens(values: list[str]) -> set[str]:
     return {tok for value in values for tok in value.split()}
 
 
+def _check_declared(declared: set[str], noun: str, uses: dict) -> None:
+    """Reject, for each use mapped to its names, the first name that is not declared."""
+    for what, names in uses.items():
+        undeclared = sorted(set(names) - declared)
+        if undeclared:
+            raise ParseError(f"{what} {noun} {undeclared[0]!r} is not declared")
+
+
 def _parse_word(text: str) -> Word:
     try:
         return word(text)
@@ -120,9 +128,12 @@ def parse_gcis(text: str) -> GcInsSystem:
         src, rule, dst = _fields(rest, 3, "edge needs '<from> (<l>|<i>|<r>) <to>'")
         edges.add((src, _parse_ins_rule(rule), dst))
     components = _tokens(d["component"])
-    for what in ("initial", "final"):
-        if d[what] not in components:
-            raise ParseError(f"{what} component {d[what]!r} is not declared")
+    uses = {
+        "initial": [d["initial"]],
+        "final": [d["final"]],
+        "edge": [c for src, _, dst in edges for c in (src, dst)],
+    }
+    _check_declared(components, "component", uses)
     return GcInsSystem(components, edges, axioms, _tokens(d["alphabet"]), d["initial"], d["final"])
 
 
@@ -150,7 +161,7 @@ def parse_rcg(text: str) -> RcGrammar:
     usage = "rule needs '<index> (<l>|<i>|<r>)'"
     for rest in d["rule"]:
         idx, rule = _fields(rest, 2, usage)
-        if not idx.isdigit():
+        if not (idx.isascii() and idx.isdigit()):
             raise ParseError(f"{usage}, got {rest!r}")
         if int(idx) in rules:
             raise ParseError(f"duplicate rule index {int(idx)}")
@@ -168,10 +179,12 @@ def parse_rcg(text: str) -> RcGrammar:
             )
         transitions.add((src, None if label == "eps" else label, dst))
     states, finals = _tokens(d["control-state"]), _tokens(d["control-final"])
-    for what, names in (("control-initial", {d["control-initial"]}), ("control-final", finals)):
-        undeclared = sorted(names - states)
-        if undeclared:
-            raise ParseError(f"{what} state {undeclared[0]!r} is not declared")
+    uses = {
+        "control-initial": [d["control-initial"]],
+        "control-final": finals,
+        "control-edge": [q for src, _, dst in transitions for q in (src, dst)],
+    }
+    _check_declared(states, "state", uses)
     control = Nfa(states, labels, transitions, d["control-initial"], finals)
     return RcGrammar(_tokens(d["alphabet"]), axioms, ordered, control)
 

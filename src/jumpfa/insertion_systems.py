@@ -67,14 +67,6 @@ def apply_rule(rule: InsRule, w: Word) -> set[Word]:
     return {w[:i] + rule.ins + w[i:] for i in _rule_positions(rule, w)}
 
 
-def ins_derive_step(sys: InsSystem, w: Word) -> set[Word]:
-    """All one-step successors over all rules and matching positions."""
-    out: set[Word] = set()
-    for rule in sys.rules:
-        out |= apply_rule(rule, w)
-    return out
-
-
 def _derivations(edges, initial: str, axioms: LangSet, max_len: int) -> dict:
     """The search's parent map over (node, word) pairs from (initial, axiom).
 

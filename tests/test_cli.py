@@ -208,8 +208,19 @@ def test_deterministic_output(capsys):
             "alphabet: a\ncomponent: yy\ninitial: yy\nfinal: zz\naxiom: eps\n",
             "error: final component 'zz' is not declared",
         ),
+        (
+            "alphabet: a\ncomponent: yy\ninitial: yy\nfinal: yy\naxiom: eps\n"
+            "edge: yy (eps|a|eps) zz\n",
+            "error: edge component 'zz' is not declared",
+        ),
     ],
-    ids=["duplicate-final", "duplicate-initial", "undeclared-initial", "undeclared-final"],
+    ids=[
+        "duplicate-final",
+        "duplicate-initial",
+        "undeclared-initial",
+        "undeclared-final",
+        "undeclared-edge-endpoint",
+    ],
 )
 def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, message):
     gp = tmp_path / "bad.gcis"
@@ -235,8 +246,12 @@ def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, 
             "control-state: s t\ncontrol-initial: s\ncontrol-final: t zz\n",
             "error: control-final state 'zz' is not declared",
         ),
+        (
+            "control-state: s t\ncontrol-initial: s\ncontrol-final: t\ncontrol-edge: s 0 zz\n",
+            "error: control-edge state 'zz' is not declared",
+        ),
     ],
-    ids=["duplicate-initial", "undeclared-initial", "undeclared-final"],
+    ids=["duplicate-initial", "undeclared-initial", "undeclared-final", "undeclared-edge-endpoint"],
 )
 def test_convert_rcg_rejects_bad_control_initial_or_final(capsys, tmp_path, control, message):
     rp = tmp_path / "bad.rcg"
@@ -275,3 +290,66 @@ def test_negative_max_len_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     assert f"argument --max-len: must be >= 0, got {argv[-1]}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_convert_rcg_rejects_non_ascii_rule_index(capsys, tmp_path):
+    rp = tmp_path / "bad.rcg"
+    rp.write_text(
+        "alphabet: a\naxiom: eps\nrule: \u00b2 (eps|a|eps)\ncontrol-state: s\n"
+        "control-initial: s\ncontrol-final: s\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "convert", "rcg-to-gcis", str(rp))
+    assert code == 2 and out == ""
+    assert err == "error: rule needs '<index> (<l>|<i>|<r>)', got '\u00b2 (eps|a|eps)'\n"
+
+
+# For every check kind and transform operation: a missing argument, an extra
+# positional and an option the kind does not take (kinds that take any number
+# of words cannot have an extra positional).
+USAGE_ERRORS = {
+    "equiv-missing": ("check", "equiv", "thm1_m"),
+    "equiv-extra": ("check", "equiv", "thm1_m", "dyck_gjfa", "extra"),
+    "equiv-option": ("check", "equiv", "thm1_m", "dyck_gjfa", "--degree", "2"),
+    "inclusion-missing": ("check", "inclusion"),
+    "inclusion-extra": ("check", "inclusion", "thm1_m", "dyck_gjfa", "extra"),
+    "inclusion-option": ("check", "inclusion", "thm1_m", "dyck_gjfa", "--word", "a"),
+    "uc-falsify-missing": ("check", "uc-falsify", "--oracle", "ab_star"),
+    "uc-falsify-extra": ("check", "uc-falsify", "--oracle", "ab_star", "--word", "a.b", "x"),
+    "uc-falsify-option": ("check", "uc-falsify", "--oracle", "ab_star", "--word", "a.b",
+                          "--max-len", "3"),
+    "uc-soundness-missing": ("check", "uc-soundness"),
+    "uc-soundness-extra": ("check", "uc-soundness", "dyck_gjfa", "extra"),
+    "uc-soundness-option": ("check", "uc-soundness", "dyck_gjfa", "--oracle", "ab_star"),
+    "jfa-parikh-missing": ("check", "jfa-parikh"),
+    "jfa-parikh-extra": ("check", "jfa-parikh", "sigma_star_ab", "extra"),
+    "jfa-parikh-option": ("check", "jfa-parikh", "sigma_star_ab", "--degree", "1"),
+    "reverse-missing": ("transform", "reverse"),
+    "reverse-extra": ("transform", "reverse", "thm1_m", "extra"),
+    "reverse-option": ("transform", "reverse", "thm1_m", "--alphabet", "a"),
+    "union-missing": ("transform", "union", "thm1_m"),
+    "union-extra": ("transform", "union", "thm1_m", "dyck_gjfa", "extra"),
+    "union-option": ("transform", "union", "thm1_m", "dyck_gjfa", "--json"),
+    "insert-missing": ("transform", "insert"),
+    "insert-option": ("transform", "insert", "thm1_m", "a", "--alphabet", "a"),
+    "insert-star-missing": ("transform", "insert-star"),
+    "insert-star-option": ("transform", "insert-star", "thm1_m", "a", "--max-len", "2"),
+    "finite-missing": ("transform", "finite", "a"),
+    "finite-option": ("transform", "finite", "a", "--alphabet", "a", "--json"),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_bad_argument_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "usage: jumpfa" in captured.err
+    assert "Traceback" not in captured.err and "index out of range" not in captured.err
+
+
+def test_unknown_corpus_name_is_unquoted(capsys):
+    code, out, err = run(capsys, "member", "corpus:nosuch", "a")
+    assert code == 2 and out == ""
+    assert err == "error: unknown corpus name: nosuch\n"

@@ -15,7 +15,6 @@ from jumpfa.insertion_systems import (
     gcis_from_rcg,
     gjfa_from_gcis,
     ins_classify,
-    ins_derive_step,
     ins_enumerate,
     rcg_enumerate,
     rcg_from_gcis,
@@ -34,15 +33,15 @@ def dyck_system():
     return InsSystem({"a", "abar"}, langset("eps"), {DYCK_RULE})
 
 
-def test_ins_derive_step_no_context():
-    got = ins_derive_step(dyck_system(), word("a.abar"))
+def test_apply_rule_no_context():
+    got = apply_rule(DYCK_RULE, word("a.abar"))
     assert got == {word("a.abar.a.abar"), word("a.a.abar.abar")}
 
 
-def test_ins_derive_step_left_context():
-    sys = InsSystem({"a", "b", "c"}, langset("c.a"), {InsRule(("a",), ("b",), ())})
-    assert ins_derive_step(sys, word("c.a")) == {word("c.a.b")}
-    assert ins_derive_step(sys, word("c")) == set()
+def test_apply_rule_left_context():
+    rule = InsRule(("a",), ("b",), ())
+    assert apply_rule(rule, word("c.a")) == {word("c.a.b")}
+    assert apply_rule(rule, word("c")) == set()
 
 
 def test_ins_enumerate_dyck():
