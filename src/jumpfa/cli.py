@@ -49,8 +49,13 @@ def _load_gjfa(name: str) -> Gjfa:
 def _read(path: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8: {exc.reason} at offset {exc.start}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def non_negative_int(text: str) -> int:

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from jumpfa.core import Gjfa, Rule, fresh_state
+from jumpfa.core import Gjfa, Rule, fresh_state, word_str
 from jumpfa.langops import LangSet
 
 
 def finite_gjfa(k: LangSet, alphabet: Iterable[str]) -> Gjfa:
     """Two-state automaton accepting exactly the finite language k."""
+    alphabet = frozenset(alphabet)
+    for w in k.sorted_words():
+        outside = sorted(set(w) - alphabet)
+        if outside:
+            raise ValueError(f"word {word_str(w)} uses symbol {outside[0]} outside the alphabet")
     rules = {Rule("q", w, "r") for w in k.words}
     return Gjfa({"q", "r"}, alphabet, rules, "q", {"r"})
 

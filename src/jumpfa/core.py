@@ -12,7 +12,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 EPS_TOKEN = "eps"
@@ -98,6 +98,26 @@ class Rule:
         return f"({self.src}, {word_str(self.label)}, {self.dst})"
 
 
+class Coded(NamedTuple):
+    """Words as ``str``, with ``chr(i)`` for ``symbols[i]``, and rules paired with coded labels."""
+
+    symbols: tuple[str, ...]
+    chars: dict[str, str]
+    by_src: dict[str, list[tuple[Rule, str]]]
+    by_dst: dict[str, list[tuple[Rule, str]]]
+    jfa: bool  # every label has length at most 1
+
+    def encode(self, w: Iterable[str]) -> Optional[str]:
+        """The coded form of w, or None when w has a symbol outside the code."""
+        try:
+            return "".join([self.chars[sym] for sym in w])
+        except KeyError:
+            return None
+
+    def decode(self, u: str) -> Word:
+        return tuple([self.symbols[ord(c)] for c in u])
+
+
 @dataclass(frozen=True)
 class Gjfa:
     """A general jumping finite automaton: (states, alphabet, rules, initial, finals).
@@ -127,14 +147,14 @@ class Gjfa:
         object.__setattr__(self, "finals", frozenset(finals))
 
     @cached_property
-    def by_src(self) -> dict[str, list[Rule]]:
-        """Rules grouped by source state, built once per automaton."""
-        return multimap((r.src, r) for r in self.rules)
-
-    @cached_property
-    def by_dst(self) -> dict[str, list[Rule]]:
-        """Rules grouped by target state, built once per automaton."""
-        return multimap((r.dst, r) for r in self.rules)
+    def coded(self) -> Coded:
+        """The coded form, rules grouped by source and by target state, built once per automaton."""
+        symbols = tuple(sorted(self.alphabet.union(*(r.label for r in self.rules))))
+        chars = {sym: chr(i) for i, sym in enumerate(symbols)}
+        pairs = [(r, "".join([chars[sym] for sym in r.label])) for r in self.rules]
+        by_src = multimap((r.src, (r, v)) for r, v in pairs)
+        by_dst = multimap((r.dst, (r, v)) for r, v in pairs)
+        return Coded(symbols, chars, by_src, by_dst, is_jfa(self))
 
 
 def validate(m: Gjfa) -> list[str]:

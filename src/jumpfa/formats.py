@@ -65,6 +65,18 @@ def _check_declared(declared: set[str], noun: str, uses: dict) -> None:
             raise ParseError(f"{what} {noun} {undeclared[0]!r} is not declared")
 
 
+def _alphabet(values: list[str], axioms: LangSet, rules: tuple[InsRule, ...]) -> set[str]:
+    """The alphabet's tokens; rejects the first axiom or rule with a symbol outside it."""
+    alphabet = _tokens(values)
+    uses = [(f"axiom {word_str(a)}", a) for a in axioms.sorted_words()]
+    uses += [(f"rule {r}", r.left + r.ins + r.right) for r in sorted(rules)]
+    for what, w in uses:
+        outside = sorted(set(w) - alphabet)
+        if outside:
+            raise ParseError(f"{what} uses symbol {outside[0]!r} outside the alphabet")
+    return alphabet
+
+
 def _parse_word(text: str) -> Word:
     try:
         return word(text)
@@ -109,8 +121,8 @@ def _parse_ins_rule(text: str) -> InsRule:
 
 def parse_ins(text: str) -> InsSystem:
     d = _directives(text, (), ("alphabet", "axiom", "rule"))
-    axioms = LangSet(map(_parse_word, d["axiom"]))
-    return InsSystem(_tokens(d["alphabet"]), axioms, map(_parse_ins_rule, d["rule"]))
+    axioms, rules = LangSet(map(_parse_word, d["axiom"])), tuple(map(_parse_ins_rule, d["rule"]))
+    return InsSystem(_alphabet(d["alphabet"], axioms, rules), axioms, rules)
 
 
 def serialize_ins(sys: InsSystem) -> str:
@@ -134,7 +146,8 @@ def parse_gcis(text: str) -> GcInsSystem:
         "edge": [c for src, _, dst in edges for c in (src, dst)],
     }
     _check_declared(components, "component", uses)
-    return GcInsSystem(components, edges, axioms, _tokens(d["alphabet"]), d["initial"], d["final"])
+    alphabet = _alphabet(d["alphabet"], axioms, tuple(rule for _, rule, _ in edges))
+    return GcInsSystem(components, edges, axioms, alphabet, d["initial"], d["final"])
 
 
 def serialize_gcis(g: GcInsSystem) -> str:
@@ -185,8 +198,9 @@ def parse_rcg(text: str) -> RcGrammar:
         "control-edge": [q for src, _, dst in transitions for q in (src, dst)],
     }
     _check_declared(states, "state", uses)
+    alphabet = _alphabet(d["alphabet"], axioms, ordered)
     control = Nfa(states, labels, transitions, d["control-initial"], finals)
-    return RcGrammar(_tokens(d["alphabet"]), axioms, ordered, control)
+    return RcGrammar(alphabet, axioms, ordered, control)
 
 
 def serialize_rcg(r: RcGrammar) -> str:

@@ -7,21 +7,18 @@ inserting labels anywhere; a word is accepted when the walk reaches the
 initial state carrying exactly that word.
 
 The tape-head position is not modeled: the head may move anywhere in each
-step, so a configuration is just (state, word).
+step, so a configuration is just (state, word). Searches run on words coded
+as ``str`` (``Gjfa.coded``); the public functions take and return tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from typing import Optional
 
 from jumpfa.core import Gjfa, Rule, Word, search
 from jumpfa.langops import LangSet
-
-
-class Configuration(NamedTuple):
-    state: str
-    word: Word
 
 
 @dataclass(frozen=True)
@@ -43,36 +40,36 @@ class AcceptanceWitness:
         return w
 
 
-def _occurrences(w: Word, v: Word) -> list[int]:
-    if not v:
-        return [0]
-    return [i for i in range(len(w) - len(v) + 1) if w[i : i + len(v)] == v]
+def _deletions(m: Gjfa, leftmost: bool = False):
+    """Successors of the deletion search on coded words; a move is (rule, position)."""
+    by_src = m.coded.by_src
 
-
-def _deletions(m: Gjfa):
-    """Successors of the deletion search; a move is (rule, position)."""
-    by_src = m.by_src
-
-    def successors(c):
-        state, w = c
-        for rule in by_src.get(state, ()):
-            n = len(rule.label)
-            for pos in _occurrences(w, rule.label):
-                yield (rule, pos), (rule.dst, w[:pos] + w[pos + n :])
+    def successors(node):
+        state, w = node
+        for rule, v in by_src.get(state, ()):
+            pos = w.find(v)
+            while pos >= 0:
+                yield (rule, pos), (rule.dst, w[:pos] + w[pos + len(v) :])
+                if leftmost or not v:
+                    break
+                pos = w.find(v, pos + 1)
 
     return successors
 
 
-def delete_successors(m: Gjfa, c: Configuration) -> set[Configuration]:
-    """All configurations reachable in one deletion step."""
-    return {Configuration(*nxt) for _, nxt in _deletions(m)(c)}
-
-
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
-    """Breadth-first deletion search; returns the replayable witness on acceptance."""
+    """Breadth-first deletion search; returns the replayable witness on acceptance.
+
+    A word with a symbol outside the code is rejected at once. A JFA accepts
+    by the Parikh vector of the word alone, so there each label is deleted at
+    its leftmost occurrence only, and a remainder stands for its vector.
+    """
     w = tuple(w)
-    goals = {(f, ()) for f in m.finals}
-    parents, node = search([(m.initial, w)], _deletions(m), goals.__contains__)
+    u = m.coded.encode(w)
+    if u is None:
+        return None
+    goals = {(f, "") for f in m.finals}
+    parents, node = search([(m.initial, u)], _deletions(m, m.coded.jfa), goals.__contains__)
     if node is None:
         return None
     steps: list[tuple[Rule, int]] = []
@@ -88,28 +85,43 @@ def jump_accepts(m: Gjfa, w: Word) -> bool:
     return acceptance_witness(m, w) is not None
 
 
-def _insertions(m: Gjfa, max_len: int):
-    """Successors of the backward walk, up to words of length max_len.
+def _embeds(v: str, t: str, lo: int, hi: int) -> bool:
+    """True iff v is a subsequence of t[lo:hi]."""
+    for c in v:
+        lo = t.find(c, lo, hi) + 1
+        if not lo:
+            return False
+    return True
+
+
+def _insertions(m: Gjfa, max_len: int, target: Optional[str] = None):
+    """Successors of the backward walk on coded words, up to length max_len.
 
     From a rule (q, v, r) the walk moves r -> q, inserting v at any position.
     Positions that repeat the word of the position before are skipped: an
     empty v gives the same word everywhere, and a v made of one repeated
-    symbol c gives the same word just after a c as just before it.
+    symbol c gives the same word just after a c as just before it. A
+    ``target`` of length max_len keeps only its subsequences: with u[:i] in a
+    shortest prefix target[:lo[i]] and u[i:] in a shortest suffix
+    target[hi[i]:], v at i keeps one iff v embeds in target[lo[i]:hi[i]].
     """
-    by_dst = m.by_dst
+    by_dst = m.coded.by_dst
 
     def successors(node):
         state, u = node
         room = max_len - len(u)
-        for rule in by_dst.get(state, ()):
-            v = rule.label
+        if target is not None:
+            lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
+            hi = [*accumulate(u[::-1], lambda j, c: target.rfind(c, 0, j), initial=max_len)][::-1]
+        for rule, v in by_dst.get(state, ()):
             if len(v) <= room:
                 src = rule.src
                 run = v[0] if v and v.count(v[0]) == len(v) else None
                 for i in range(len(u) + 1 if v else 1):
                     if i and u[i - 1] == run:
                         continue
-                    yield rule, (src, u[:i] + v + u[i:])
+                    if target is None or _embeds(v, target, lo[i], hi[i]):
+                        yield rule, (src, u[:i] + v + u[i:])
 
     return successors
 
@@ -117,15 +129,18 @@ def _insertions(m: Gjfa, max_len: int):
 def generate_accepts(m: Gjfa, w: Word) -> bool:
     """Generation-side acceptance: backward walk from final states.
 
-    Words longer than the target are pruned (insertion is length-monotone);
-    epsilon-labeled rules are cycle-cut by the visited set.
+    Insertion only adds symbols, so the walk keeps only subsequences of the
+    target. Epsilon-labeled rules are cycle-cut by the visited set.
     """
-    goal = (m.initial, tuple(w))
-    _, found = search([(f, ()) for f in m.finals], _insertions(m, len(goal[1])), goal.__eq__)
+    u = m.coded.encode(w)
+    if u is None:
+        return False
+    goal = (m.initial, u)
+    _, found = search([(f, "") for f in m.finals], _insertions(m, len(u), u), goal.__eq__)
     return found is not None
 
 
 def enumerate_language(m: Gjfa, max_len: int) -> LangSet:
     """L(m) truncated to words of length <= max_len, by backward generation."""
-    parents, _ = search([(f, ()) for f in m.finals], _insertions(m, max_len))
-    return LangSet((u for state, u in parents if state == m.initial), max_len)
+    parents, _ = search([(f, "") for f in m.finals], _insertions(m, max_len))
+    return LangSet((m.coded.decode(u) for state, u in parents if state == m.initial), max_len)

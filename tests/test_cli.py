@@ -353,3 +353,57 @@ def test_unknown_corpus_name_is_unquoted(capsys):
     code, out, err = run(capsys, "member", "corpus:nosuch", "a")
     assert code == 2 and out == ""
     assert err == "error: unknown corpus name: nosuch\n"
+
+
+def test_directory_input_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "enum", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin.gjfa"
+    path.write_bytes(b"alphabet: a\xff\nstates: q\ninitial: q\nfinal: q\n")
+    code, out, err = run(capsys, "enum", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not UTF-8: invalid start byte at offset 11\n"
+
+
+@pytest.mark.parametrize("alphabet", ["b", ""], ids=["other-symbol", "empty"])
+def test_transform_finite_rejects_word_outside_alphabet(capsys, alphabet):
+    code, out, err = run(capsys, "transform", "finite", "b.a", "--alphabet", alphabet)
+    assert code == 2 and out == ""
+    assert err == "error: word b.a uses symbol a outside the alphabet\n"
+
+
+@pytest.mark.parametrize(
+    "direction, suffix, text, message",
+    [
+        (
+            "from-gcis",
+            "gcis",
+            "alphabet: a\ncomponent: c\ninitial: c\nfinal: c\naxiom: b\n",
+            "error: axiom b uses symbol 'b' outside the alphabet",
+        ),
+        (
+            "gcis-to-rcg",
+            "gcis",
+            "alphabet: a\ncomponent: c\ninitial: c\nfinal: c\naxiom: a\nedge: c (eps|a.b|eps) c\n",
+            "error: rule (eps|a.b|eps) uses symbol 'b' outside the alphabet",
+        ),
+        (
+            "rcg-to-gcis",
+            "rcg",
+            "alphabet: a\naxiom: eps\nrule: 0 (c|a|eps)\ncontrol-state: s\n"
+            "control-initial: s\ncontrol-final: s\ncontrol-edge: s 0 s\n",
+            "error: rule (c|a|eps) uses symbol 'c' outside the alphabet",
+        ),
+    ],
+    ids=["gcis-axiom", "gcis-inserted-word", "rcg-context-word"],
+)
+def test_convert_rejects_word_outside_alphabet(capsys, tmp_path, direction, suffix, text, message):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    code, out, err = run(capsys, "convert", direction, str(path))
+    assert code == 2 and out == ""
+    assert err == message + "\n"

@@ -1,3 +1,5 @@
+import pytest
+
 from jumpfa.constructions import (
     finite_gjfa,
     insert_gjfa,
@@ -29,6 +31,13 @@ def test_finite_gjfa_epsilon():
 def test_finite_gjfa_empty():
     m = finite_gjfa(LangSet([]), {"a"})
     assert enumerate_language(m, 3) == set()
+
+
+def test_finite_gjfa_rejects_word_outside_alphabet():
+    with pytest.raises(ValueError, match="word a.b uses symbol b outside the alphabet"):
+        finite_gjfa(langset("a", "a.b"), {"a"})
+    with pytest.raises(ValueError, match="word a uses symbol a outside the alphabet"):
+        finite_gjfa(langset("a"), set())
 
 
 def test_insert_gjfa_matches_set_insert():

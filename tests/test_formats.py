@@ -66,6 +66,13 @@ def test_parse_errors():
         parse_gjfa("just a line without colon\n")
 
 
+def test_parse_ins_rejects_word_outside_alphabet():
+    with pytest.raises(ParseError, match=re.escape("axiom a.b uses symbol 'b' outside the alphabet")):
+        parse_ins("alphabet: a\naxiom: a.b\n")
+    with pytest.raises(ParseError, match=re.escape("rule (a|eps|c) uses symbol 'c' outside the alphabet")):
+        parse_ins("alphabet: a b\naxiom: a\nrule: (a|eps|c)\n")
+
+
 def test_gcis_round_trip():
     for name, m in corpus_automata():
         g = gcis_from_gjfa(m)
@@ -121,9 +128,14 @@ ins_rules = st.builds(InsRule, labels, labels, labels)
 axiom_sets = st.sets(labels, max_size=3).map(LangSet)
 
 
+def _covering(alphabet, axioms, rules):
+    """The alphabet plus every symbol of the axioms and rules, as the parsers require."""
+    return set(alphabet).union(*axioms.words, *(r.left + r.ins + r.right for r in rules))
+
+
 @given(symbols, axiom_sets, st.sets(ins_rules, max_size=4))
 def test_round_trip_random_ins(alphabet, axioms, rules):
-    sys = InsSystem(alphabet, axioms, rules)
+    sys = InsSystem(_covering(alphabet, axioms, rules), axioms, rules)
     text = serialize_ins(sys)
     assert parse_ins(text) == sys
     assert serialize_ins(parse_ins(text)) == text
@@ -134,9 +146,9 @@ def gcis_systems(draw):
     components = sorted(draw(st.sets(state_names, min_size=1)))
     nodes = st.sampled_from(components)
     edges = draw(st.sets(st.tuples(nodes, ins_rules, nodes), max_size=5))
-    return GcInsSystem(
-        components, edges, draw(axiom_sets), draw(symbols), draw(nodes), draw(nodes)
-    )
+    axioms = draw(axiom_sets)
+    alphabet = _covering(draw(symbols), axioms, [rule for _, rule, _ in edges])
+    return GcInsSystem(components, edges, axioms, alphabet, draw(nodes), draw(nodes))
 
 
 @given(gcis_systems())
@@ -156,7 +168,8 @@ def rcg_grammars(draw):
     transitions = draw(st.sets(st.tuples(nodes, tokens, nodes), max_size=5))
     finals = draw(st.sets(nodes))
     control = Nfa(states, indices, transitions, draw(nodes), finals)
-    return RcGrammar(draw(symbols), draw(axiom_sets), rules, control)
+    axioms = draw(axiom_sets)
+    return RcGrammar(_covering(draw(symbols), axioms, rules), axioms, rules, control)
 
 
 @given(rcg_grammars())

@@ -1,14 +1,14 @@
 import itertools
 import random
 
-from jumpfa.core import Gjfa, Rule, degree, word
+from jumpfa import semantics
+from jumpfa.core import Gjfa, Rule, degree, search, word
 from jumpfa.corpus import corpus_get
 from jumpfa.insertion_systems import gcis_enumerate, gcis_from_gjfa, rcg_enumerate, rcg_from_gcis
 from jumpfa.langops import langset
 from jumpfa.semantics import (
-    Configuration,
+    _deletions,
     acceptance_witness,
-    delete_successors,
     enumerate_language,
     generate_accepts,
     jump_accepts,
@@ -18,29 +18,48 @@ THM1 = corpus_get("thm1_m").value
 EQUAL_COUNTS = corpus_get("equal_counts_jfa").value
 
 
-def test_delete_successors_two_occurrences():
+def _one_step(m, state, w):
+    """The (state, word) pairs one deletion step from (state, w), decoded."""
+    coded = m.coded
+    return {(q, coded.decode(u)) for _, (q, u) in _deletions(m)((state, coded.encode(w)))}
+
+
+def test_deletions_two_occurrences():
     # abar.a deletes at position 0; a.abar deletes at position 2 (and switches state)
-    got = delete_successors(THM1, Configuration("q", word("abar.a.a.abar")))
+    got = _one_step(THM1, "q", word("abar.a.a.abar"))
     assert got == {
-        Configuration("q", word("a.abar")),
-        Configuration("r", word("abar.a")),
+        ("q", word("a.abar")),
+        ("r", word("abar.a")),
     }
 
 
-def test_delete_successors_single_occurrence():
-    got = delete_successors(EQUAL_COUNTS, Configuration("q0", word("a.b.c")))
-    assert got == {Configuration("q1", word("b.c"))}
+def test_deletions_single_occurrence():
+    got = _one_step(EQUAL_COUNTS, "q0", word("a.b.c"))
+    assert got == {("q1", word("b.c"))}
 
 
-def test_delete_successors_no_applicable_rule():
-    got = delete_successors(EQUAL_COUNTS, Configuration("q0", word("b.b")))
+def test_deletions_no_applicable_rule():
+    got = _one_step(EQUAL_COUNTS, "q0", word("b.b"))
     assert got == set()
 
 
-def test_delete_successors_eps_rule_keeps_word():
+def test_deletions_eps_rule_keeps_word():
     m = Gjfa({"q", "r"}, {"a"}, {Rule("q", (), "r")}, "q", {"r"})
-    got = delete_successors(m, Configuration("q", ("a",)))
-    assert got == {Configuration("r", ("a",))}
+    got = _one_step(m, "q", ("a",))
+    assert got == {("r", ("a",))}
+
+
+def test_deletions_overlapping_occurrences():
+    m = Gjfa({"q", "r"}, {"a", "b"}, {Rule("q", word("a.b.a"), "r")}, "q", {"r"})
+    assert _one_step(m, "q", word("a.b.a.b.a")) == {("r", word("b.a")), ("r", word("a.b"))}
+
+
+def test_degree_two_needs_more_than_leftmost_deletions():
+    # the only accepting run deletes the last b first; deleting the leftmost b leaves a.b
+    b_rule, ba_rule = Rule("q0", ("b",), "q1"), Rule("q1", word("b.a"), "q0")
+    m = Gjfa({"q0", "q1"}, {"a", "b"}, {b_rule, ba_rule}, "q0", {"q0"})
+    witness = acceptance_witness(m, word("b.a.b"))
+    assert witness is not None and witness.steps == ((b_rule, 2), (ba_rule, 0))
 
 
 def test_jump_accepts_equal_counts():
@@ -139,6 +158,16 @@ def test_unreachable_final_accepts_nothing():
     assert enumerate_language(m, 4) == set()
 
 
+def _assert_replays(m, witness):
+    """The witness regenerates its word along a path of m from initial to final."""
+    assert witness.replay() == witness.word
+    state = m.initial
+    for rule, _pos in witness.steps:
+        assert rule in m.rules and rule.src == state
+        state = rule.dst
+    assert state in m.finals
+
+
 def _random_gjfa(rng):
     states = [f"q{i}" for i in range(rng.randint(2, 3))]
     labels = [()] + [(a,) for a in "ab"] + [(a, b) for a in "ab" for b in "ab"]
@@ -165,13 +194,96 @@ def test_search_kernel_differential_random_gjfa():
                 if witness is None:
                     continue
                 accepted.add(w)
-                assert witness.replay() == w
-                state = m.initial
-                for rule, _pos in witness.steps:
-                    assert rule in m.rules and rule.src == state
-                    state = rule.dst
-                assert state in m.finals
+                _assert_replays(m, witness)
         assert enumerate_language(m, 5) == accepted
         g = gcis_from_gjfa(m)
         assert gcis_enumerate(g, 5) == accepted
         assert rcg_enumerate(rcg_from_gcis(g), 5) == accepted
+
+
+def _random_jfa(rng):
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    labels = [(), ("a",), ("b",)]
+    rules = {
+        Rule(rng.choice(states), rng.choice(labels), rng.choice(states))
+        for _ in range(rng.randint(2, 6))
+    }
+    finals = rng.sample(states, rng.randint(1, len(states)))
+    return Gjfa(states, "ab", rules, states[0], finals)
+
+
+def _plain_jump(m, w):
+    """Deletion search over every occurrence of every label, on the coded word."""
+    goals = {(f, "") for f in m.finals}
+    _, found = search([(m.initial, m.coded.encode(w))], _deletions(m), goals.__contains__)
+    return found is not None
+
+
+def test_parikh_path_differential_random_jfa():
+    # jump_accepts deletes only leftmost occurrences on a JFA; the plain
+    # deletion search and the generation side must agree with it
+    rng = random.Random(2012)
+    machines = [_random_jfa(rng) for _ in range(30)]
+    assert all(m.coded.jfa for m in machines)
+    assert any(not r.label for m in machines for r in m.rules)
+    verdicts = set()
+    for m in machines:
+        for n in range(7):
+            for w in itertools.product("ab", repeat=n):
+                witness = acceptance_witness(m, w)
+                verdict = witness is not None
+                assert verdict == jump_accepts(m, w) == _plain_jump(m, w) == generate_accepts(m, w), (m, w)
+                verdicts.add(verdict)
+                if witness is not None:
+                    _assert_replays(m, witness)
+    assert verdicts == {True, False}
+
+
+def test_pruned_generation_matches_enumeration():
+    rng = random.Random(2015)
+    for m in [_random_gjfa(rng) for _ in range(20)]:
+        language = enumerate_language(m, 6)
+        for n in range(7):
+            for w in itertools.product("ab", repeat=n):
+                assert generate_accepts(m, w) == (w in language), (m, w)
+
+
+def _is_subsequence(u, t):
+    rest = iter(t)
+    return all(sym in rest for sym in u)
+
+
+def test_fast_paths_bound_the_search(monkeypatch):
+    reached = []
+
+    def recording(starts, successors, stop=None):
+        parents, found = search(starts, successors, stop)
+        reached.append(parents)
+        return parents, found
+
+    monkeypatch.setattr(semantics, "search", recording)
+    dyck = corpus_get("dyck_gjfa").value
+    semidyck2 = corpus_get("semidyck2_gjfa").value
+    cases = [
+        (dyck, ("a",) * 10 + ("abar",) * 10, True),
+        (THM1, word("abar.a.a.abar"), True),
+        (THM1, word("abar.a.abar.a"), False),
+        (semidyck2, word("a1.a2.a2bar.a1bar.a2"), False),
+        (EQUAL_COUNTS, word("c.b.a.a.b"), False),
+    ]
+    for m, target, verdict in cases:
+        reached.clear()
+        assert generate_accepts(m, target) == verdict
+        (parents,) = reached
+        assert all(_is_subsequence(m.coded.decode(u), target) for _, u in parents)
+    reached.clear()
+    assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a",))
+    (parents,) = reached
+    assert len(parents) <= 3 * 8 * 7 * 7
+
+
+def test_word_outside_the_code_is_rejected_without_search(monkeypatch):
+    monkeypatch.setattr(semantics, "search", None)
+    assert acceptance_witness(THM1, word("a.x")) is None
+    assert not jump_accepts(THM1, word("x"))
+    assert not generate_accepts(THM1, word("abar.x.a"))
