@@ -24,7 +24,7 @@ def _one_step(m, state, w):
     return {(q, coded.decode(u)) for _, (q, u) in _deletions(m)((state, coded.encode(w)))}
 
 
-def test_deletions_two_occurrences():
+def test_delete_successors_two_occurrences():
     # abar.a deletes at position 0; a.abar deletes at position 2 (and switches state)
     got = _one_step(THM1, "q", word("abar.a.a.abar"))
     assert got == {
@@ -33,17 +33,17 @@ def test_deletions_two_occurrences():
     }
 
 
-def test_deletions_single_occurrence():
+def test_delete_successors_single_occurrence():
     got = _one_step(EQUAL_COUNTS, "q0", word("a.b.c"))
     assert got == {("q1", word("b.c"))}
 
 
-def test_deletions_no_applicable_rule():
+def test_delete_successors_no_applicable_rule():
     got = _one_step(EQUAL_COUNTS, "q0", word("b.b"))
     assert got == set()
 
 
-def test_deletions_eps_rule_keeps_word():
+def test_delete_successors_eps_rule_keeps_word():
     m = Gjfa({"q", "r"}, {"a"}, {Rule("q", (), "r")}, "q", {"r"})
     got = _one_step(m, "q", ("a",))
     assert got == {("r", ("a",))}
