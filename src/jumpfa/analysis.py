@@ -11,12 +11,11 @@ proves that no degree-n jumping automaton accepts the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from jumpfa.core import Gjfa, Nfa, Word, degree, is_jfa
 from jumpfa.langops import LangSet, perm_closure
-from jumpfa.semantics import enumerate_language, jump_accepts
+from jumpfa.semantics import enumerate_language
 
 Oracle = Callable[[Word], bool]
 
@@ -96,24 +95,21 @@ def uc_condition(member: Oracle, w: Word, n: int) -> UcReport:
     return UcReport("falsified", w, n, violations=tuple(violations))
 
 
-def uc_sweep(member: Oracle, words: LangSet, n: int) -> list[UcReport]:
-    """Apply uc_condition to each word, in canonical order."""
-    return [uc_condition(member, w, n) for w in words]
-
-
 def uc_soundness_check(m: Gjfa, max_len: int) -> bool:
     """Every accepted non-empty word must pass the condition at the automaton's degree.
 
     A falsification here would contradict the fact that every jumping-automaton
     language is a union of compositions of its degree.
+
+    Membership is answered exactly from the enumeration: each query x v y
+    rearranges a member w, so |x v y| = |w| <= max_len, and the enumeration
+    is L(m) cut at max_len, which agrees with ``jump_accepts`` (test_01
+    checks the two semantics). The set lives for this call only.
     """
     n = max(degree(m), 1)
-
-    @lru_cache(maxsize=None)
-    def member(w: Word) -> bool:
-        return jump_accepts(m, w)
-
-    for w in enumerate_language(m, max_len):
+    lang = enumerate_language(m, max_len)
+    member = lang.words.__contains__
+    for w in lang:
         if w and not uc_condition(member, w, n).passes:
             return False
     return True

@@ -84,7 +84,7 @@ def _cmd_member(args) -> int:
         results["jump"] = semantics.jump_accepts(m, w)
     if args.semantics in ("generate", "both"):
         results["generate"] = semantics.generate_accepts(m, w)
-    _emit({"word": args.word, **results}, args.json)
+    _emit({"word": word_str(w), **results}, args.json)
     values = list(results.values())
     if args.semantics == "both" and values[0] != values[1]:
         print("semantics disagree", file=sys.stderr)

@@ -143,4 +143,6 @@ def generate_accepts(m: Gjfa, w: Word) -> bool:
 def enumerate_language(m: Gjfa, max_len: int) -> LangSet:
     """L(m) truncated to words of length <= max_len, by backward generation."""
     parents, _ = search([(f, "") for f in m.finals], _insertions(m, max_len))
-    return LangSet((m.coded.decode(u) for state, u in parents if state == m.initial), max_len)
+    coded = [u for state, u in parents if state == m.initial]
+    del parents  # free the search map before decoding
+    return LangSet(map(m.coded.decode, coded), max_len)

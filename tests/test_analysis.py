@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
+from test_semantics import _random_gjfa
 
+from jumpfa import analysis
 from jumpfa.analysis import (
     bounded_equiv,
     bounded_inclusion,
@@ -9,12 +12,12 @@ from jumpfa.analysis import (
     jfa_permutation_check,
     uc_condition,
     uc_soundness_check,
-    uc_sweep,
 )
 from jumpfa.constructions import finite_gjfa, reverse_gjfa, union_gjfa
 from jumpfa.core import Gjfa, Rule, word
-from jumpfa.corpus import ab_star, corpus_get, dyck_balance, sigma_star_gjfa
+from jumpfa.corpus import ab_star, corpus_automata, corpus_get, dyck_balance, sigma_star_gjfa
 from jumpfa.langops import LangSet, dyck_bounded, langset
+from jumpfa.semantics import enumerate_language, jump_accepts
 
 THM1 = corpus_get("thm1_m").value
 DYCK = corpus_get("dyck_gjfa").value
@@ -97,25 +100,63 @@ def test_uc_sweep_reports_in_input_order():
     # every repetition beyond one block already fails the degree-2 condition;
     # the single block passes trivially (v is the whole word)
     words = LangSet([word("a.b"), word("a.b.a.b"), word("a.b.a.b.a.b")])
-    reports = uc_sweep(ab_star, words, 2)
+    reports = [uc_condition(ab_star, w, 2) for w in words]
     assert [r.verdict for r in reports] == ["passes", "falsified", "falsified"]
     assert reports[0].trivial
 
 
 def test_uc_sweep_dyck_all_pass():
     words = LangSet([w for w in dyck_bounded(6).words if w])
-    assert all(r.passes for r in uc_sweep(dyck_balance, words, 2))
+    assert all(uc_condition(dyck_balance, w, 2).passes for w in words)
 
 
 def test_uc_sweep_sigma_star_all_pass():
     words = LangSet([word("a"), word("a.b"), word("b.b.a")])
-    assert all(r.passes for r in uc_sweep(lambda w: True, words, 1))
+    assert all(uc_condition(lambda w: True, w, 1).passes for w in words)
 
 
 def test_uc_soundness_on_corpus():
     assert uc_soundness_check(THM1, 8)
     assert uc_soundness_check(EQUAL_COUNTS, 6)
     assert uc_soundness_check(DYCK, 8)
+
+
+def _soundness_oracle_matches_jump_search(monkeypatch, m, max_len):
+    # uc_soundness_check answers membership from its enumeration; every query
+    # must rearrange w, and every report must equal the one that the plain
+    # deletion search gives
+    checked = []
+
+    def differential(member, w, n):
+        def oracle(u):
+            assert Counter(u) == Counter(w), (m, w, u)
+            return member(u)
+
+        report = uc_condition(oracle, w, n)
+        assert report == uc_condition(lambda u: jump_accepts(m, u), w, n), (m, w)
+        checked.append(w)
+        return report
+
+    monkeypatch.setattr(analysis, "uc_condition", differential)
+    assert uc_soundness_check(m, max_len)
+    assert checked == [w for w in enumerate_language(m, max_len) if w]
+
+
+@pytest.mark.parametrize("name", dict(corpus_automata()))
+def test_uc_soundness_oracle_differential_corpus(monkeypatch, name):
+    _soundness_oracle_matches_jump_search(monkeypatch, corpus_get(name).value, 8)
+
+
+def test_uc_soundness_oracle_differential_random_gjfa(monkeypatch):
+    rng = random.Random(2015)
+    for m in [_random_gjfa(rng) for _ in range(20)]:
+        _soundness_oracle_matches_jump_search(monkeypatch, m, 5)
+
+
+def test_uc_soundness_false_on_non_uc_language(monkeypatch):
+    # {a b} is not a union of degree-1 compositions: b a is not a member
+    monkeypatch.setattr(analysis, "enumerate_language", lambda m, n: LangSet([("a", "b")], n))
+    assert uc_soundness_check(EQUAL_COUNTS, 2) is False
 
 
 def test_jfa_permutation_check_equal_counts():

@@ -5,6 +5,7 @@ import pytest
 from jumpfa.cli import main
 from jumpfa.corpus import corpus_get
 from jumpfa.formats import serialize_gjfa
+from jumpfa.langops import LangSet
 
 
 def run(capsys, *argv):
@@ -33,6 +34,14 @@ def test_member_alphabet_mismatch(capsys):
     code, _, err = run(capsys, "member", "thm1_m", "x.y")
     assert code == 2
     assert "error" in err
+
+
+def test_member_echoes_parsed_empty_word(capsys):
+    code, out, _ = run(capsys, "member", "dyck_gjfa", "")
+    assert code == 0
+    assert out.splitlines() == ["word: eps", "jump: True"]
+    code, out, _ = run(capsys, "member", "dyck_gjfa", "", "--json")
+    assert json.loads(out) == {"word": "eps", "jump": True}
 
 
 def test_member_json(capsys):
@@ -153,6 +162,14 @@ def test_check_uc_falsify(capsys):
 def test_check_uc_soundness(capsys):
     code, _, _ = run(capsys, "check", "uc-soundness", "thm1_m", "--max-len", "8")
     assert code == 0
+
+
+def test_check_uc_soundness_false(capsys, monkeypatch):
+    # a language that is not a union of degree-1 compositions: b a is missing
+    monkeypatch.setattr("jumpfa.analysis.enumerate_language", lambda m, n: LangSet([("a", "b")], n))
+    code, out, _ = run(capsys, "check", "uc-soundness", "equal_counts_jfa", "--max-len", "2")
+    assert code == 1
+    assert out.splitlines() == ["sound: False", "bound: 2"]
 
 
 def test_check_jfa_parikh(capsys):
