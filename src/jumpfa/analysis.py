@@ -72,12 +72,14 @@ def uc_condition(member: Oracle, w: Word, n: int) -> UcReport:
     Tries every factorization w = u1 v u2 with 1 <= |v| <= n (occurrences,
     not values: the same factor at two positions is two candidates). A
     factorization passes when x v y is a member for every split x y = u1 u2.
+    Each distinct x v y is asked of ``member`` once per call.
     """
     w = tuple(w)
     if not w:
         raise ValueError("the condition is vacuous on the empty word")
     if n < 1:
         raise ValueError("degree must be >= 1")
+    answers: dict[Word, bool] = {}
     violations = []
     for i in range(len(w)):
         for j in range(i + 1, min(i + n, len(w)) + 1):
@@ -86,7 +88,10 @@ def uc_condition(member: Oracle, w: Word, n: int) -> UcReport:
             bad = None
             for cut in range(len(rest) + 1):
                 x, y = rest[:cut], rest[cut:]
-                if not member(x + v + y):
+                u = x + v + y
+                if u not in answers:
+                    answers[u] = member(u)
+                if not answers[u]:
                     bad = (x, y)
                     break
             if bad is None:

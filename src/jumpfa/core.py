@@ -156,6 +156,33 @@ class Gjfa:
         by_dst = multimap((r.dst, (r, v)) for r, v in pairs)
         return Coded(symbols, chars, by_src, by_dst, is_jfa(self))
 
+    def length_masks(self, n: int) -> dict[str, int]:
+        """Per state q, an int whose bit l is set iff some path from q to a final
+        state has label lengths summing to l; exact for every l <= n.
+
+        Every such path yields a word of length l, so the initial state's mask
+        is the set of lengths of L(M). Built on first use as a fixpoint over the
+        rules, and rebuilt at twice the bound when a longer word asks. A state
+        with no path to a final state is absent.
+        """
+        bound, masks = self.__dict__.get("_length_masks", (-1, {}))
+        if n > bound:
+            bound = max(n, 2 * bound)
+            full = (2 << bound) - 1
+            masks = dict.fromkeys(self.finals, 1)
+            by_dst = self.coded.by_dst
+            work = list(masks)
+            while work:
+                dst = work.pop()
+                for rule, v in by_dst.get(dst, ()):
+                    old = masks.get(rule.src, 0)
+                    new = old | (masks[dst] << len(v)) & full
+                    if new != old:
+                        masks[rule.src] = new
+                        work.append(rule.src)
+            self.__dict__["_length_masks"] = (bound, masks)
+        return masks
+
 
 def validate(m: Gjfa) -> list[str]:
     """Check all Gjfa invariants; return one diagnostic string per violation."""

@@ -92,14 +92,6 @@ def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     return LangSet((w for _, w in parents), max_len)
 
 
-def ins_classify(sys: InsSystem) -> tuple[int, int, int]:
-    """(max inserted length, max left context, max right context)."""
-    n = max((len(r.ins) for r in sys.rules), default=0)
-    m = max((len(r.left) for r in sys.rules), default=0)
-    m2 = max((len(r.right) for r in sys.rules), default=0)
-    return (n, m, m2)
-
-
 @dataclass(frozen=True)
 class GcInsSystem:
     """Insertion rules on the edges of a directed multigraph of components.

@@ -76,16 +76,6 @@ def insert(l: LangSet, k: LangSet) -> LangSet:
     return LangSet(out, bound)
 
 
-def insert_iter(l: LangSet, k: LangSet, times: int) -> LangSet:
-    """Left-iterated insertion; times=0 returns l unchanged."""
-    if times < 0:
-        raise ValueError("iteration count must be >= 0")
-    cur = l
-    for _ in range(times):
-        cur = insert(cur, k)
-    return cur
-
-
 def insert_star_bounded(l: LangSet, k: LangSet, max_len: int) -> LangSet:
     """Iterated-insertion closure truncated to words of length <= max_len.
 
@@ -169,11 +159,6 @@ class Homomorphism:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.mapping.items()))
-
-
-def hom_image(h: Homomorphism, l: LangSet) -> LangSet:
-    """Elementwise homomorphic image."""
-    return LangSet(h.apply(w) for w in l.words)
 
 
 def hom_preimage_bounded(

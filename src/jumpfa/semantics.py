@@ -13,11 +13,12 @@ as ``str`` (``Gjfa.coded``); the public functions take and return tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from jumpfa.core import Gjfa, Rule, Word, search
+from jumpfa.core import Gjfa, Rule, Word, multimap, search
 from jumpfa.langops import LangSet
 
 
@@ -40,13 +41,20 @@ class AcceptanceWitness:
         return w
 
 
-def _deletions(m: Gjfa, leftmost: bool = False):
-    """Successors of the deletion search on coded words; a move is (rule, position)."""
+def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] = None):
+    """Successors of the deletion search on coded words; a move is (rule, position).
+
+    With ``masks`` (``Gjfa.length_masks``), a rule (q, v, r) is tried only
+    when the remainder's length is in r's set.
+    """
     by_src = m.coded.by_src
 
     def successors(node):
         state, w = node
         for rule, v in by_src.get(state, ()):
+            # bit |w| of the shifted mask is bit |w| - |v| of r's mask
+            if masks is not None and not masks.get(rule.dst, 0) << len(v) >> len(w) & 1:
+                continue
             pos = w.find(v)
             while pos >= 0:
                 yield (rule, pos), (rule.dst, w[:pos] + w[pos + len(v) :])
@@ -60,16 +68,22 @@ def _deletions(m: Gjfa, leftmost: bool = False):
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     """Breadth-first deletion search; returns the replayable witness on acceptance.
 
-    A word with a symbol outside the code is rejected at once. A JFA accepts
-    by the Parikh vector of the word alone, so there each label is deleted at
-    its leftmost occurrence only, and a remainder stands for its vector.
+    A word with a symbol outside the code, or with a length that no path
+    from the initial state to a final state has, is rejected at once. The
+    search tries a rule only when the remainder's length is in the length
+    set of the rule's target state. A JFA accepts by the Parikh vector of
+    the word alone, so there each label is deleted at its leftmost
+    occurrence only, and a remainder stands for its vector.
     """
     w = tuple(w)
     u = m.coded.encode(w)
     if u is None:
         return None
+    masks = m.length_masks(len(u))
+    if not masks.get(m.initial, 0) >> len(u) & 1:
+        return None
     goals = {(f, "") for f in m.finals}
-    parents, node = search([(m.initial, u)], _deletions(m, m.coded.jfa), goals.__contains__)
+    parents, node = search([(m.initial, u)], _deletions(m, m.coded.jfa, masks), goals.__contains__)
     if node is None:
         return None
     steps: list[tuple[Rule, int]] = []
@@ -104,8 +118,12 @@ def _insertions(m: Gjfa, max_len: int, target: Optional[str] = None):
     ``target`` of length max_len keeps only its subsequences: with u[:i] in a
     shortest prefix target[:lo[i]] and u[i:] in a shortest suffix
     target[hi[i]:], v at i keeps one iff v embeds in target[lo[i]:hi[i]].
+    On a JFA with a target, the walk goes by Parikh vectors instead
+    (:func:`_parikh_insertions`).
     """
     by_dst = m.coded.by_dst
+    if target is not None and m.coded.jfa:
+        return _parikh_insertions(by_dst, target)
 
     def successors(node):
         state, u = node
@@ -122,6 +140,33 @@ def _insertions(m: Gjfa, max_len: int, target: Optional[str] = None):
                         continue
                     if target is None or _embeds(v, target, lo[i], hi[i]):
                         yield rule, (src, u[:i] + v + u[i:])
+
+    return successors
+
+
+def _parikh_insertions(by_dst, target: str):
+    """Successors of the backward walk of a JFA toward target: one word per Parikh vector.
+
+    A JFA accepts by the Parikh vector alone, so each node word is canonical:
+    target restricted to the first k_d occurrences of each symbol d. A label
+    c goes only where it gives the first k_c + 1 occurrences of c. The greedy
+    prefix embedding ``lo`` places each symbol of a canonical word at its own
+    occurrence, so c goes after the symbols placed before that occurrence.
+    """
+    occurrences = multimap((c, i) for i, c in enumerate(target))
+
+    def successors(node):
+        state, u = node
+        lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
+        for rule, v in by_dst.get(state, ()):
+            if not v:
+                yield rule, (rule.src, u)
+                continue
+            at = occurrences.get(v, ())
+            k = u.count(v)
+            if k < len(at):
+                i = bisect_right(lo, at[k]) - 1
+                yield rule, (rule.src, u[:i] + v + u[i:])
 
     return successors
 

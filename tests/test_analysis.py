@@ -10,11 +10,12 @@ from jumpfa.analysis import (
     bounded_inclusion,
     gjfa_as_nfa,
     jfa_permutation_check,
+    UcReport,
     uc_condition,
     uc_soundness_check,
 )
 from jumpfa.constructions import finite_gjfa, reverse_gjfa, union_gjfa
-from jumpfa.core import Gjfa, Rule, word
+from jumpfa.core import Gjfa, Rule, degree, word
 from jumpfa.corpus import ab_star, corpus_automata, corpus_get, dyck_balance, sigma_star_gjfa
 from jumpfa.langops import LangSet, dyck_bounded, langset
 from jumpfa.semantics import enumerate_language, jump_accepts
@@ -113,6 +114,43 @@ def test_uc_sweep_dyck_all_pass():
 def test_uc_sweep_sigma_star_all_pass():
     words = LangSet([word("a"), word("a.b"), word("b.b.a")])
     assert all(uc_condition(lambda w: True, w, 1).passes for w in words)
+
+
+def _uc_condition_plain(member, w, n):
+    """The condition's loop without deduplication: one query per split."""
+    violations = []
+    for i in range(len(w)):
+        for j in range(i + 1, min(i + n, len(w)) + 1):
+            u1, v, u2 = w[:i], w[i:j], w[j:]
+            rest = u1 + u2
+            splits = ((rest[:cut], rest[cut:]) for cut in range(len(rest) + 1))
+            bad = next(((x, y) for x, y in splits if not member(x + v + y)), None)
+            if bad is None:
+                return UcReport("passes", w, n, witness=(u1, v, u2), trivial=n >= len(w))
+            violations.append(((u1, v, u2), bad))
+    return UcReport("falsified", w, n, violations=tuple(violations))
+
+
+@pytest.mark.parametrize("name", dict(corpus_automata()))
+def test_uc_condition_asks_each_word_once(name):
+    m = corpus_get(name).value
+    language = enumerate_language(m, 8)
+    verdicts = set()
+    for n in sorted({1, degree(m)}):
+        for w in language:
+            if not w:
+                continue
+            asked = Counter()
+
+            def counting(u):
+                asked[u] += 1
+                return u in language
+
+            report = uc_condition(counting, w, n)
+            assert max(asked.values()) == 1, (w, n)
+            assert report == _uc_condition_plain(language.words.__contains__, w, n), (w, n)
+            verdicts.add(report.verdict)
+    assert "passes" in verdicts
 
 
 def test_uc_soundness_on_corpus():

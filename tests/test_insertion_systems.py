@@ -14,7 +14,6 @@ from jumpfa.insertion_systems import (
     gcis_from_gjfa,
     gcis_from_rcg,
     gjfa_from_gcis,
-    ins_classify,
     ins_enumerate,
     rcg_enumerate,
     rcg_from_gcis,
@@ -56,15 +55,6 @@ def test_ins_enumerate_no_rules():
 def test_ins_enumerate_unmatchable_context():
     sys = InsSystem({"a"}, langset("eps"), {InsRule(("a",), ("a",), ())})
     assert ins_enumerate(sys, 3) == langset("eps")
-
-
-def test_ins_classify():
-    assert ins_classify(dyck_system()) == (2, 0, 0)
-    sys = InsSystem(
-        {"a", "b", "c", "d"}, langset("eps"), {InsRule(("a",), ("b", "c"), ("d", "d"))}
-    )
-    assert ins_classify(sys) == (2, 1, 2)
-    assert ins_classify(InsSystem({"a"}, langset("eps"), set())) == (0, 0, 0)
 
 
 def test_context_rule_never_fires_without_context_factor():

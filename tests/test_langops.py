@@ -11,10 +11,8 @@ from jumpfa.langops import (
     LangSet,
     dyck_bounded,
     eval_composition,
-    hom_image,
     hom_preimage_bounded,
     insert,
-    insert_iter,
     insert_star_bounded,
     langset,
     perm_closure,
@@ -57,19 +55,6 @@ def test_insert_into_empty_word():
 @given(words_strategy, words_strategy)
 def test_insert_matches_naive_oracle(l, k):
     assert insert(l, k).words == naive_insert(l, k)
-
-
-def test_insert_iter_zero_is_identity():
-    assert insert_iter(langset("eps"), langset("a.abar"), 0) == langset("eps")
-
-
-def test_insert_iter_once():
-    assert insert_iter(langset("eps"), langset("a.abar"), 1) == langset("a.abar")
-
-
-def test_insert_iter_twice_gives_length4_dyck():
-    got = insert_iter(langset("eps"), langset("a.abar"), 2)
-    assert got == langset("a.abar.a.abar", "a.a.abar.abar")
 
 
 def test_insert_star_dyck_prefix():
@@ -170,13 +155,6 @@ def test_shuffle_contains_proof_word():
 
 def phi():
     return corpus_get("phi_thm4").value
-
-
-def test_hom_image_examples():
-    h = phi()
-    assert hom_image(h, langset("a.b")) == langset("a1bar.a2.a2bar.a1")
-    assert hom_image(h, langset("eps")) == langset("eps")
-    assert hom_image(h, langset("a")) == langset("a1bar.a2")
 
 
 def test_hom_preimage_trivial_predicates():

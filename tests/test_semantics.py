@@ -3,7 +3,7 @@ import random
 
 from jumpfa import semantics
 from jumpfa.core import Gjfa, Rule, degree, search, word
-from jumpfa.corpus import corpus_get
+from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.insertion_systems import gcis_enumerate, gcis_from_gjfa, rcg_enumerate, rcg_from_gcis
 from jumpfa.langops import langset
 from jumpfa.semantics import (
@@ -253,15 +253,7 @@ def _is_subsequence(u, t):
     return all(sym in rest for sym in u)
 
 
-def test_fast_paths_bound_the_search(monkeypatch):
-    reached = []
-
-    def recording(starts, successors, stop=None):
-        parents, found = search(starts, successors, stop)
-        reached.append(parents)
-        return parents, found
-
-    monkeypatch.setattr(semantics, "search", recording)
+def test_fast_paths_bound_the_search(search_counter):
     dyck = corpus_get("dyck_gjfa").value
     semidyck2 = corpus_get("semidyck2_gjfa").value
     cases = [
@@ -272,14 +264,80 @@ def test_fast_paths_bound_the_search(monkeypatch):
         (EQUAL_COUNTS, word("c.b.a.a.b"), False),
     ]
     for m, target, verdict in cases:
-        reached.clear()
+        search_counter.clear()
         assert generate_accepts(m, target) == verdict
-        (parents,) = reached
+        (parents,) = search_counter
         assert all(_is_subsequence(m.coded.decode(u), target) for _, u in parents)
-    reached.clear()
+    search_counter.clear()
+    # length 19 is not a multiple of 3, so no accepting path has it
     assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a",))
-    (parents,) = reached
-    assert len(parents) <= 3 * 8 * 7 * 7
+    assert search_counter == []
+    # Parikh vector (8, 7, 6): at most 3 states times 9 * 8 * 7 vectors
+    assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a", "a", "b"))
+    (parents,) = search_counter
+    assert len(parents) <= 3 * 9 * 8 * 7
+
+
+def _mask_lengths(mask, n):
+    return {k for k in range(n + 1) if mask >> k & 1}
+
+
+def test_length_masks_match_enumeration():
+    # each state's mask holds the lengths of the words accepted from it
+    rng = random.Random(2015)
+    machines = [(m, 8) for _, m in corpus_automata()] + [(_random_gjfa(rng), 6) for _ in range(20)]
+    assert any(not r.label for m, _ in machines for r in m.rules)
+    for m, n in machines:
+        for q in sorted(m.states):
+            from_q = Gjfa(m.states, m.alphabet, m.rules, q, m.finals)
+            lengths = {len(w) for w in enumerate_language(from_q, n)}
+            # growing bounds exercise the rebuild at twice the bound
+            for k in range(n + 1):
+                got = _mask_lengths(m.length_masks(k).get(q, 0), k)
+                assert got == {x for x in lengths if x <= k}, (m, q, k)
+
+
+def test_length_pruned_jump_matches_plain_search():
+    rng = random.Random(2015)
+    machines = [_random_gjfa(rng) for _ in range(20)]
+    assert any(_mask_lengths(m.length_masks(6).get(m.initial, 0), 6) != set(range(7)) for m in machines)
+    for m in machines:
+        for n in range(7):
+            for w in itertools.product("ab", repeat=n):
+                witness = acceptance_witness(m, w)
+                assert (witness is not None) == jump_accepts(m, w) == _plain_jump(m, w), (m, w)
+                if witness is not None:
+                    _assert_replays(m, witness)
+
+
+def test_parikh_generation_matches_enumeration():
+    rng = random.Random(2012)
+    machines = [_random_jfa(rng) for _ in range(30)]
+    assert all(m.coded.jfa for m in machines)
+    for m in machines:
+        language = enumerate_language(m, 6)
+        for n in range(7):
+            for w in itertools.product("ab", repeat=n):
+                assert generate_accepts(m, w) == (w in language), (m, w)
+
+
+def test_parikh_generation_and_length_check_node_counts(search_counter):
+    # one node per Parikh vector (i, j) with i, j <= 4
+    assert generate_accepts(corpus_get("sigma_star_ab").value, word("a.b") * 4)
+    (parents,) = search_counter
+    assert len(parents) <= 25
+    search_counter.clear()
+    assert not jump_accepts(corpus_get("semidyck2_gjfa").value, word("a1.a1bar.a2"))
+    assert search_counter == []
+
+
+def test_generation_does_not_use_length_masks(monkeypatch):
+    monkeypatch.setattr(Gjfa, "length_masks", None)
+    for name, m in corpus_automata():
+        language = enumerate_language(m, 4)
+        for n in range(5):
+            for w in itertools.product(sorted(m.alphabet), repeat=n):
+                assert generate_accepts(m, w) == (w in language), (name, w)
 
 
 def test_word_outside_the_code_is_rejected_without_search(monkeypatch):
