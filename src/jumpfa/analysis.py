@@ -89,9 +89,10 @@ def uc_condition(member: Oracle, w: Word, n: int) -> UcReport:
             for cut in range(len(rest) + 1):
                 x, y = rest[:cut], rest[cut:]
                 u = x + v + y
-                if u not in answers:
-                    answers[u] = member(u)
-                if not answers[u]:
+                ok = answers.get(u)
+                if ok is None:
+                    ok = answers[u] = member(u)
+                if not ok:
                     bad = (x, y)
                     break
             if bad is None:

@@ -220,19 +220,22 @@ def _plain_jump(m, w):
 
 
 def test_parikh_path_differential_random_jfa():
-    # jump_accepts deletes only leftmost occurrences on a JFA; the plain
-    # deletion search and the generation side must agree with it
+    # on a JFA, jump_accepts deletes only leftmost occurrences and
+    # generate_accepts walks Parikh vectors; the plain deletion search and
+    # the enumeration must agree with both
     rng = random.Random(2012)
     machines = [_random_jfa(rng) for _ in range(30)]
     assert all(m.coded.jfa for m in machines)
     assert any(not r.label for m in machines for r in m.rules)
     verdicts = set()
     for m in machines:
+        language = enumerate_language(m, 6)
         for n in range(7):
             for w in itertools.product("ab", repeat=n):
                 witness = acceptance_witness(m, w)
                 verdict = witness is not None
                 assert verdict == jump_accepts(m, w) == _plain_jump(m, w) == generate_accepts(m, w), (m, w)
+                assert verdict == (w in language), (m, w)
                 verdicts.add(verdict)
                 if witness is not None:
                     _assert_replays(m, witness)
@@ -308,17 +311,6 @@ def test_length_pruned_jump_matches_plain_search():
                 assert (witness is not None) == jump_accepts(m, w) == _plain_jump(m, w), (m, w)
                 if witness is not None:
                     _assert_replays(m, witness)
-
-
-def test_parikh_generation_matches_enumeration():
-    rng = random.Random(2012)
-    machines = [_random_jfa(rng) for _ in range(30)]
-    assert all(m.coded.jfa for m in machines)
-    for m in machines:
-        language = enumerate_language(m, 6)
-        for n in range(7):
-            for w in itertools.product("ab", repeat=n):
-                assert generate_accepts(m, w) == (w in language), (m, w)
 
 
 def test_parikh_generation_and_length_check_node_counts(search_counter):
