@@ -110,14 +110,26 @@ def uc_soundness_check(m: Gjfa, max_len: int) -> bool:
     Membership is answered exactly from the enumeration: each query x v y
     rearranges a member w, so |x v y| = |w| <= max_len, and the enumeration
     is L(m) cut at max_len, which agrees with ``jump_accepts`` (test_01
-    checks the two semantics). The set lives for this call only.
+    checks the two semantics). When w passes with witness (u1, v, u2),
+    every x v y with x y = u1 u2 is a member, and its factorization
+    (x, v, y) passes for the same reason: its re-insertions are those of w's
+    witness. Those words are certified and not checked again. A failing word
+    certifies nothing, so the verdict is the one checking every word gives.
+    The enumeration and the certified set live for this call only.
     """
     n = max(degree(m), 1)
     lang = enumerate_language(m, max_len)
     member = lang.words.__contains__
+    passed: set[Word] = set()
     for w in lang:
-        if w and not uc_condition(member, w, n).passes:
+        if not w or w in passed:
+            continue
+        report = uc_condition(member, w, n)
+        if not report.passes:
             return False
+        u1, v, u2 = report.witness
+        rest = u1 + u2
+        passed.update(rest[:cut] + v + rest[cut:] for cut in range(len(rest) + 1))
     return True
 
 

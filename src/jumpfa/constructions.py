@@ -25,21 +25,25 @@ def finite_gjfa(k: LangSet, alphabet: Iterable[str]) -> Gjfa:
 
 
 def insert_gjfa(ml: Gjfa, k: LangSet) -> Gjfa:
-    """Accepts L(ml) <- k: fresh start feeding the old start with one k-word."""
+    """Accepts L(ml) <- k: fresh start feeding the old start with one k-word.
+
+    The alphabet gains k's symbols, so the result passes ``validate``.
+    """
     s = fresh_state(ml.states)
     rules = set(ml.rules) | {Rule(s, v, ml.initial) for v in k.words}
-    return Gjfa(ml.states | {s}, ml.alphabet, rules, s, ml.finals)
+    return Gjfa(ml.states | {s}, ml.alphabet.union(*k.words), rules, s, ml.finals)
 
 
 def insert_star_gjfa(ml: Gjfa, k: LangSet) -> Gjfa:
     """Accepts L(ml) <-* k: fresh start with k-self-loops and an eps bridge.
 
     An empty word in k stays as an eps self-loop, faithful to the rule set of
-    the underlying construction; the search semantics cycle-cut it.
+    the underlying construction; the search semantics cycle-cut it. The
+    alphabet gains k's symbols, as in :func:`insert_gjfa`.
     """
     s = fresh_state(ml.states)
     rules = set(ml.rules) | {Rule(s, v, s) for v in k.words} | {Rule(s, (), ml.initial)}
-    return Gjfa(ml.states | {s}, ml.alphabet, rules, s, ml.finals)
+    return Gjfa(ml.states | {s}, ml.alphabet.union(*k.words), rules, s, ml.finals)
 
 
 def reverse_gjfa(m: Gjfa) -> Gjfa:

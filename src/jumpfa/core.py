@@ -12,7 +12,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 EPS_TOKEN = "eps"
@@ -98,14 +98,12 @@ class Rule:
         return f"({self.src}, {word_str(self.label)}, {self.dst})"
 
 
-class Coded(NamedTuple):
-    """Words as ``str``, with ``chr(i)`` for ``symbols[i]``, and rules paired with coded labels."""
+class Code:
+    """Words as ``str``, with ``chr(i)`` for ``symbols[i]``: the distinct symbols in name order."""
 
-    symbols: tuple[str, ...]
-    chars: dict[str, str]
-    by_src: dict[str, list[tuple[Rule, str]]]
-    by_dst: dict[str, list[tuple[Rule, str]]]
-    jfa: bool  # every label has length at most 1
+    def __init__(self, symbols: Iterable[str]):
+        self.symbols = tuple(sorted(set(symbols)))
+        self.chars = {sym: chr(i) for i, sym in enumerate(self.symbols)}
 
     def encode(self, w: Iterable[str]) -> Optional[str]:
         """The coded form of w, or None when w has a symbol outside the code."""
@@ -116,6 +114,17 @@ class Coded(NamedTuple):
 
     def decode(self, u: str) -> Word:
         return tuple([self.symbols[ord(c)] for c in u])
+
+
+class Coded(Code):
+    """An automaton's code; its rules paired with coded labels, grouped by source and by target state."""
+
+    def __init__(self, m: Gjfa):
+        super().__init__(m.alphabet.union(*(r.label for r in m.rules)))
+        pairs = [(r, self.encode(r.label)) for r in m.rules]
+        self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in pairs)
+        self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in pairs)
+        self.jfa = is_jfa(m)  # every label has length at most 1
 
 
 @dataclass(frozen=True)
@@ -148,13 +157,8 @@ class Gjfa:
 
     @cached_property
     def coded(self) -> Coded:
-        """The coded form, rules grouped by source and by target state, built once per automaton."""
-        symbols = tuple(sorted(self.alphabet.union(*(r.label for r in self.rules))))
-        chars = {sym: chr(i) for i, sym in enumerate(symbols)}
-        pairs = [(r, "".join([chars[sym] for sym in r.label])) for r in self.rules]
-        by_src = multimap((r.src, (r, v)) for r, v in pairs)
-        by_dst = multimap((r.dst, (r, v)) for r, v in pairs)
-        return Coded(symbols, chars, by_src, by_dst, is_jfa(self))
+        """The coded form, built once per automaton."""
+        return Coded(self)
 
     def length_masks(self, n: int) -> dict[str, int]:
         """Per state q, an int whose bit l is set iff some path from q to a final

@@ -5,9 +5,10 @@ context-free (0,0) classes to jumping automata."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
-from jumpfa.core import Gjfa, Nfa, Rule, Word, fresh_state, multimap, search, word_str
+from jumpfa.core import Code, Gjfa, Nfa, Rule, Word, fresh_state, multimap, search, word_str
 from jumpfa.langops import LangSet
 
 
@@ -51,45 +52,60 @@ class InsSystem:
         object.__setattr__(self, "rules", frozenset(rules))
 
 
-def _rule_positions(rule: InsRule, w: Word) -> list[int]:
-    """Positions where w reads ...left][right... around the insertion point."""
-    lw, rw = len(rule.left), len(rule.right)
-    return [
-        i
-        for i in range(len(w) + 1)
-        if i >= lw
-        and w[i - lw : i] == rule.left
-        and w[i : i + rw] == rule.right
-    ]
-
-
 def apply_rule(rule: InsRule, w: Word) -> set[Word]:
-    return {w[:i] + rule.ins + w[i:] for i in _rule_positions(rule, w)}
+    """The words from inserting rule.ins into w where w reads ...left][right..."""
+    lw, rw = len(rule.left), len(rule.right)
+    return {
+        w[:i] + rule.ins + w[i:]
+        for i in range(lw, len(w) + 1)
+        if w[i - lw : i] == rule.left and w[i : i + rw] == rule.right
+    }
 
 
-def _derivations(edges, initial: str, axioms: LangSet, max_len: int) -> dict:
-    """The search's parent map over (node, word) pairs from (initial, axiom).
+def _derivations(edges, initial: str, axioms: LangSet, max_len: int) -> tuple[dict, Code]:
+    """The search's parent map over (node, coded word) pairs from (initial, axiom), and the code.
 
-    Each (src, rule, dst) edge applies rule to a word at src; words longer
-    than max_len are pruned.
+    Each (src, rule, dst) edge applies rule to a word at src; a word longer
+    than max_len is never built. The symbols of the axioms and rules are
+    coded once (``Code``), so a rule with contexts inserts between left and
+    right at each occurrence of the coded left + right. A context-free rule
+    skips the positions that repeat the word of the position before, as
+    ``semantics._insertions`` does. Callers decode only the words they keep.
     """
-    edges_by_src = multimap((src, (rule, dst)) for src, rule, dst in edges)
+    code = Code(chain(*axioms.words, *(r.left + r.ins + r.right for _, r, _ in edges)))
+    by_src = multimap(
+        (src, (rule, code.encode(rule.left + rule.right), len(rule.left), code.encode(rule.ins), dst))
+        for src, rule, dst in edges
+    )
 
     def successors(node):
         src, w = node
-        for rule, dst in edges_by_src.get(src, ()):
-            for nxt in apply_rule(rule, w):
-                if len(nxt) <= max_len:
-                    yield rule, (dst, nxt)
+        room = max_len - len(w)
+        for rule, context, cut, v, dst in by_src.get(src, ()):
+            if len(v) > room:
+                continue
+            if context:
+                pos = w.find(context)
+                while pos >= 0:
+                    i = pos + cut
+                    yield rule, (dst, w[:i] + v + w[i:])
+                    pos = w.find(context, pos + 1)
+            else:
+                run = v[0] if v and v.count(v[0]) == len(v) else None
+                for i in range(len(w) + 1 if v else 1):
+                    if i and w[i - 1] == run:
+                        continue
+                    yield rule, (dst, w[:i] + v + w[i:])
 
-    parents, _ = search(((initial, w) for w in axioms.words if len(w) <= max_len), successors)
-    return parents
+    starts = [(initial, code.encode(w)) for w in axioms.words if len(w) <= max_len]
+    parents, _ = search(starts, successors)
+    return parents, code
 
 
 def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     """Closure of the axioms under the rules, truncated to max_len."""
-    parents = _derivations({("", rule, "") for rule in sys.rules}, "", sys.axioms, max_len)
-    return LangSet((w for _, w in parents), max_len)
+    parents, code = _derivations({("", rule, "") for rule in sys.rules}, "", sys.axioms, max_len)
+    return LangSet((code.decode(u) for _, u in parents), max_len)
 
 
 @dataclass(frozen=True)
@@ -119,8 +135,8 @@ class GcInsSystem:
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
     """Words of length <= max_len reachable at the final component."""
-    parents = _derivations(g.edges, g.initial, g.axioms, max_len)
-    return LangSet((w for comp, w in parents if comp == g.final), max_len)
+    parents, code = _derivations(g.edges, g.initial, g.axioms, max_len)
+    return LangSet((code.decode(u) for comp, u in parents if comp == g.final), max_len)
 
 
 def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
@@ -176,8 +192,8 @@ def _control_edges(r: RcGrammar) -> set[tuple[str, InsRule, str]]:
 
 def rcg_enumerate(r: RcGrammar, max_len: int) -> LangSet:
     """Words derivable along a rule-index sequence the control NFA accepts."""
-    parents = _derivations(_control_edges(r), r.control.initial, r.axioms, max_len)
-    return LangSet((w for state, w in parents if state in r.control.finals), max_len)
+    parents, code = _derivations(_control_edges(r), r.control.initial, r.axioms, max_len)
+    return LangSet((code.decode(u) for state, u in parents if state in r.control.finals), max_len)
 
 
 def rcg_from_gcis(g: GcInsSystem) -> RcGrammar:

@@ -8,8 +8,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 @pytest.fixture
 def search_counter(monkeypatch):
-    """The parent map of every ``semantics.search`` call, in call order."""
-    from jumpfa import core, semantics
+    """The parent map of every ``semantics.search`` and ``insertion_systems.search`` call, in call order."""
+    from jumpfa import core, insertion_systems, semantics
 
     reached = []
 
@@ -19,4 +19,5 @@ def search_counter(monkeypatch):
         return parents, found
 
     monkeypatch.setattr(semantics, "search", recording)
+    monkeypatch.setattr(insertion_systems, "search", recording)
     return reached

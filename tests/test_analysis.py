@@ -162,22 +162,35 @@ def test_uc_soundness_on_corpus():
 def _soundness_oracle_matches_jump_search(monkeypatch, m, max_len):
     # uc_soundness_check answers membership from its enumeration; every query
     # must rearrange w, and every report must equal the one that the plain
-    # deletion search gives
-    checked = []
+    # deletion search gives. A word it skips must be x v y for the witness
+    # (u1, v, u2) of an earlier checked word, with x y = u1 u2, and must pass
+    # under the plain search too.
+    checked = {}
 
     def differential(member, w, n):
         def oracle(u):
             assert Counter(u) == Counter(w), (m, w, u)
             return member(u)
 
+        assert w not in checked, (m, w)
         report = uc_condition(oracle, w, n)
         assert report == uc_condition(lambda u: jump_accepts(m, u), w, n), (m, w)
-        checked.append(w)
+        checked[w] = report
         return report
 
     monkeypatch.setattr(analysis, "uc_condition", differential)
     assert uc_soundness_check(m, max_len)
-    assert checked == [w for w in enumerate_language(m, max_len) if w]
+    n = max(degree(m), 1)
+    certified = set()
+    for w in enumerate_language(m, max_len):
+        if w in checked:
+            u1, v, u2 = checked[w].witness
+            rest = u1 + u2
+            certified |= {rest[:cut] + v + rest[cut:] for cut in range(len(rest) + 1)}
+        elif w:
+            assert w in certified, (m, w)
+            assert uc_condition(lambda u: jump_accepts(m, u), w, n).passes, (m, w)
+    return len(checked)
 
 
 @pytest.mark.parametrize("name", dict(corpus_automata()))
@@ -189,6 +202,11 @@ def test_uc_soundness_oracle_differential_random_gjfa(monkeypatch):
     rng = random.Random(2015)
     for m in [_random_gjfa(rng) for _ in range(20)]:
         _soundness_oracle_matches_jump_search(monkeypatch, m, 5)
+
+
+def test_uc_soundness_certified_words_bound_the_checks(monkeypatch):
+    # without certification every one of the 1,618 non-empty members is checked
+    assert _soundness_oracle_matches_jump_search(monkeypatch, corpus_get("semidyck2_gjfa").value, 10) <= 372
 
 
 def test_uc_soundness_false_on_non_uc_language(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 
 from jumpfa.cli import main
 from jumpfa.corpus import corpus_get
-from jumpfa.formats import serialize_gjfa
+from jumpfa.core import validate
+from jumpfa.formats import parse_gjfa, serialize_gjfa
 from jumpfa.langops import LangSet
 
 
@@ -94,6 +95,20 @@ def test_transform_insert_star_builds_dyck(capsys, tmp_path):
     star_path.write_text(out)
     code, words, _ = run(capsys, "enum", str(star_path), "--max-len", "4")
     assert words.splitlines() == ["eps", "a.abar", "a.a.abar.abar", "a.abar.a.abar"]
+
+
+@pytest.mark.parametrize("op", ["insert", "insert-star"])
+def test_transform_insert_adds_k_symbols_to_alphabet(capsys, tmp_path, op):
+    # b is outside dyck_gjfa's alphabet; the output must still be valid
+    code, out, _ = run(capsys, "transform", op, "dyck_gjfa", "a.b")
+    assert code == 0
+    m = parse_gjfa(out)
+    assert validate(m) == []
+    assert m.alphabet == {"a", "abar", "b"}
+    path = tmp_path / "ins.gjfa"
+    path.write_text(out)
+    code, _, err = run(capsys, "member", str(path), "a.b.a.abar")
+    assert (code, err) == (0, "")
 
 
 def test_transform_union(capsys, tmp_path):

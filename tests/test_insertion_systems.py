@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from jumpfa.analysis import bounded_equiv
-from jumpfa.core import word
+from jumpfa.core import multimap, search, word
 from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.insertion_systems import (
     GcInsSystem,
@@ -9,6 +11,8 @@ from jumpfa.insertion_systems import (
     InsSystem,
     NonzeroContextError,
     RcGrammar,
+    _control_edges,
+    _derivations,
     apply_rule,
     gcis_enumerate,
     gcis_from_gjfa,
@@ -198,3 +202,74 @@ def test_rcg_enumerate_eps_move_two_finals_matches_gcis():
     rules = (InsRule((), ("c",), ()), InsRule((), ("b",), ()))
     r = RcGrammar({"a", "b", "c"}, langset("a.a"), rules, eps_two_final_control())
     assert rcg_enumerate(r, 5) == gcis_enumerate(gcis_from_rcg(r), 5)
+
+
+def _plain_derivations(edges, initial, axioms, max_len):
+    """The (node, word) pairs reached by applying rules with apply_rule, on tuple words."""
+    by_src = multimap((src, (rule, dst)) for src, rule, dst in edges)
+
+    def successors(node):
+        src, w = node
+        for rule, dst in by_src.get(src, ()):
+            for nxt in apply_rule(rule, w):
+                if len(nxt) <= max_len:
+                    yield rule, (dst, nxt)
+
+    parents, _ = search([(initial, w) for w in axioms.words if len(w) <= max_len], successors)
+    return set(parents)
+
+
+def _random_word(rng, most):
+    return tuple(rng.choice("aab") for _ in range(rng.randint(0, most)))
+
+
+def _random_rule(rng):
+    # left contexts of length 2 over {a, b} occur overlapping, as a.a in a.a.a
+    return InsRule(_random_word(rng, 2), _random_word(rng, 2), _random_word(rng, 1))
+
+
+def _random_axioms(rng):
+    return LangSet([_random_word(rng, 2) for _ in range(rng.randint(1, 3))] + [_random_word(rng, 3) or ("a",)])
+
+
+def _random_systems(rng):
+    """An InsSystem, a GcInsSystem and an RcGrammar, each with its edges, initial node and finals."""
+    sys = InsSystem("ab", _random_axioms(rng), [_random_rule(rng) for _ in range(rng.randint(1, 3))])
+    yield sys, {("", rule, "") for rule in sys.rules}, "", {""}
+
+    comps = [f"c{i}" for i in range(rng.randint(1, 3))]
+    edges = {(rng.choice(comps), _random_rule(rng), rng.choice(comps)) for _ in range(rng.randint(1, 5))}
+    g = GcInsSystem(comps, edges, _random_axioms(rng), "ab", rng.choice(comps), rng.choice(comps))
+    yield g, g.edges, g.initial, {g.final}
+
+    rules = tuple(_random_rule(rng) for _ in range(rng.randint(1, 3)))
+    states = [f"p{i}" for i in range(rng.randint(1, 3))]
+    labels = [None] + [str(i) for i in range(len(rules))]
+    transitions = {(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(rng.randint(1, 5))}
+    control = Nfa(states, labels[1:], transitions, states[0], rng.sample(states, rng.randint(1, len(states))))
+    r = RcGrammar("ab", _random_axioms(rng), rules, control)
+    yield r, _control_edges(r), control.initial, control.finals
+
+
+def test_coded_derivations_match_apply_rule_search(search_counter):
+    # contexts, empty inserts, several components and eps control moves all
+    # occur among the seeded systems; every axiom set has a non-empty word
+    enumerate_system = {InsSystem: ins_enumerate, GcInsSystem: gcis_enumerate, RcGrammar: rcg_enumerate}
+    rng = random.Random(1997)
+    seen = set()
+    for _ in range(100):
+        for system, edges, initial, finals in _random_systems(rng):
+            max_len = rng.randint(3, 6)
+            plain = _plain_derivations(edges, initial, system.axioms, max_len)
+            parents, code = _derivations(edges, initial, system.axioms, max_len)
+            assert search_counter[-1] is parents
+            assert len(parents) == len(plain)
+            assert {(node, code.decode(u)) for node, u in parents} == plain, system
+            language = {w for node, w in plain if node in finals}
+            assert enumerate_system[type(system)](system, max_len) == language, system
+            seen |= {"context" for _, rule, _ in edges if not rule.context_free}
+            seen |= {"empty insert" for _, rule, _ in edges if not rule.ins}
+            seen |= {"components" for src, _, dst in edges if src != dst}
+            if isinstance(system, RcGrammar):
+                seen |= {"eps move" for _, label, _ in system.control.transitions if label is None}
+    assert seen == {"context", "empty insert", "components", "eps move"}
