@@ -10,8 +10,7 @@ proves that no degree-n jumping automaton accepts the language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from jumpfa.core import Gjfa, Nfa, Word, degree, is_jfa
 from jumpfa.langops import LangSet, perm_closure
@@ -20,15 +19,13 @@ from jumpfa.semantics import enumerate_language
 Oracle = Callable[[Word], bool]
 
 
-@dataclass(frozen=True)
-class EquivReport:
+class EquivReport(NamedTuple):
     equal: bool
     bound: int
     counterexamples: tuple[Word, ...]
 
 
-@dataclass(frozen=True)
-class UcReport:
+class UcReport(NamedTuple):
     """Verdict of the necessary-condition check on a single word.
 
     On ``passes``: ``witness`` is a factorization (u1, v, u2) whose factor v

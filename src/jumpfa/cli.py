@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from jumpfa import analysis, constructions, corpus, formats, semantics
+from jumpfa import analysis, constructions, corpus, formats, insertion_systems, semantics
 from jumpfa.core import Gjfa, validate, word, word_str
 from jumpfa.langops import LangSet
 
@@ -123,19 +123,17 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from jumpfa import insertion_systems as ins
-
     if args.direction == "to-gcis":
-        g = ins.gcis_from_gjfa(_load_gjfa(args.input))
+        g = insertion_systems.gcis_from_gjfa(_load_gjfa(args.input))
         sys.stdout.write(formats.serialize_gcis(g))
     elif args.direction == "from-gcis":
-        m = ins.gjfa_from_gcis(formats.parse_gcis(_read(args.input)))
+        m = insertion_systems.gjfa_from_gcis(formats.parse_gcis(_read(args.input)))
         sys.stdout.write(formats.serialize_gjfa(m))
     elif args.direction == "gcis-to-rcg":
-        r = ins.rcg_from_gcis(formats.parse_gcis(_read(args.input)))
+        r = insertion_systems.rcg_from_gcis(formats.parse_gcis(_read(args.input)))
         sys.stdout.write(formats.serialize_rcg(r))
     elif args.direction == "rcg-to-gcis":
-        g = ins.gcis_from_rcg(formats.parse_rcg(_read(args.input)))
+        g = insertion_systems.gcis_from_rcg(formats.parse_rcg(_read(args.input)))
         sys.stdout.write(formats.serialize_gcis(g))
     return 0
 

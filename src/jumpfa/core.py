@@ -1,4 +1,4 @@
-"""Domain types: symbols, words, rules, GJFA, paths, and a small NFA.
+"""Domain types: symbols, words, rules, GJFA, and a small NFA.
 
 Symbols and state ids are plain interned token strings; words are tuples of
 symbol tokens. The empty tuple is the empty word and is written ``eps`` in
@@ -9,10 +9,9 @@ systems runs on :func:`search`.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 EPS_TOKEN = "eps"
@@ -86,8 +85,7 @@ def shortlex_key(w: Word):
     return (len(w), w)
 
 
-@dataclass(frozen=True, order=True)
-class Rule:
+class Rule(NamedTuple):
     """A rule (from-state, label word, to-state)."""
 
     src: str
@@ -127,33 +125,24 @@ class Coded(Code):
         self.jfa = is_jfa(m)  # every label has length at most 1
 
 
-@dataclass(frozen=True)
-class Gjfa:
+class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
     """A general jumping finite automaton: (states, alphabet, rules, initial, finals).
 
     Construction coerces the collections to frozen sets; structural problems
     are reported by :func:`validate` rather than raised here.
     """
 
-    states: frozenset[str]
-    alphabet: frozenset[str]
-    rules: frozenset[Rule]
-    initial: str
-    finals: frozenset[str]
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         states: Iterable[str],
         alphabet: Iterable[str],
         rules: Iterable[Rule],
         initial: str,
         finals: Iterable[str],
     ):
-        object.__setattr__(self, "states", frozenset(states))
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "rules", frozenset(rules))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+        return super().__new__(
+            cls, frozenset(states), frozenset(alphabet), frozenset(rules), initial, frozenset(finals)
+        )
 
     @cached_property
     def coded(self) -> Coded:
@@ -222,35 +211,24 @@ def is_jfa(m: Gjfa) -> bool:
     return degree(m) <= 1
 
 
-Path = tuple[Rule, ...]
+class Nfa(namedtuple("Nfa", "states alphabet transitions initial finals")):
+    """A classical NFA with epsilon moves; labels are single tokens or None.
 
+    Construction coerces the collections to frozen sets.
+    """
 
-def path_labeling(p: Path) -> list[Word]:
-    """The label sequence of a path; raises on mismatched endpoints."""
-    if not p:
-        raise ValueError("a path has at least one rule")
-    for prev, nxt in zip(p, p[1:]):
-        if prev.dst != nxt.src:
-            raise ValueError(f"rules {prev} and {nxt} do not chain")
-    return [r.label for r in p]
-
-
-@dataclass(frozen=True)
-class Nfa:
-    """A classical NFA with epsilon moves; labels are single tokens or None."""
-
-    states: frozenset[str]
-    alphabet: frozenset[str]
-    transitions: frozenset[tuple[str, Optional[str], str]]
-    initial: str
-    finals: frozenset[str]
-
-    def __init__(self, states, alphabet, transitions, initial, finals):
-        object.__setattr__(self, "states", frozenset(states))
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "transitions", frozenset(transitions))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+    def __new__(
+        cls,
+        states: Iterable[str],
+        alphabet: Iterable[str],
+        transitions: Iterable[tuple[str, Optional[str], str]],
+        initial: str,
+        finals: Iterable[str],
+    ):
+        return super().__new__(
+            cls, frozenset(states), frozenset(alphabet), frozenset(transitions), initial,
+            frozenset(finals),
+        )
 
     @cached_property
     def delta(self) -> dict[tuple[str, Optional[str]], list[str]]:

@@ -7,16 +7,14 @@ ASCII-safe in the file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from jumpfa.core import Gjfa, Rule, Word, word
 from jumpfa.langops import Homomorphism, LangSet
 from jumpfa.constructions import finite_gjfa, insert_star_gjfa
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     kind: str  # "gjfa" | "predicate" | "homomorphism" | "builder"
     value: Any

@@ -7,7 +7,7 @@ canonical (sorted directives), so parse -> serialize is a stable round trip.
 
 from __future__ import annotations
 
-from jumpfa.core import Gjfa, Nfa, Rule, Word, shortlex_key, word, word_str
+from jumpfa.core import Gjfa, Nfa, Rule, Word, check_symbol, shortlex_key, word, word_str
 from jumpfa.langops import LangSet
 from jumpfa.insertion_systems import GcInsSystem, InsRule, InsSystem, RcGrammar
 
@@ -53,8 +53,11 @@ def _fields(rest: str, n: int, usage: str) -> list[str]:
 
 
 def _tokens(values: list[str]) -> set[str]:
-    """The union of the whitespace-separated tokens of every value."""
-    return {tok for value in values for tok in value.split()}
+    """The union of the whitespace-separated tokens of every value; rejects an invalid token."""
+    try:
+        return {check_symbol(tok) for value in values for tok in value.split()}
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _check_declared(declared: set[str], noun: str, uses: dict) -> None:

@@ -4,9 +4,9 @@ context-free (0,0) classes to jumping automata."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from jumpfa.core import Code, Gjfa, Nfa, Rule, Word, fresh_state, multimap, search, word_str
 from jumpfa.langops import LangSet
@@ -20,8 +20,7 @@ class NonzeroContextError(ValueError):
         super().__init__(f"rule {rule} has a non-empty context")
 
 
-@dataclass(frozen=True, order=True)
-class InsRule:
+class InsRule(NamedTuple):
     """Insert ``ins`` between an occurrence of ``left`` and ``right``."""
 
     left: Word
@@ -40,16 +39,11 @@ class InsRule:
 _NOOP = InsRule((), (), ())
 
 
-@dataclass(frozen=True)
-class InsSystem:
-    alphabet: frozenset[str]
-    axioms: LangSet
-    rules: frozenset[InsRule]
+class InsSystem(namedtuple("InsSystem", "alphabet axioms rules")):
+    """Insertion rules applied to the axioms in any order; the collections become frozen sets."""
 
-    def __init__(self, alphabet: Iterable[str], axioms: LangSet, rules: Iterable[InsRule]):
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "axioms", axioms)
-        object.__setattr__(self, "rules", frozenset(rules))
+    def __new__(cls, alphabet: Iterable[str], axioms: LangSet, rules: Iterable[InsRule]):
+        return super().__new__(cls, frozenset(alphabet), axioms, frozenset(rules))
 
 
 def apply_rule(rule: InsRule, w: Word) -> set[Word]:
@@ -108,29 +102,27 @@ def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     return LangSet((code.decode(u) for _, u in parents), max_len)
 
 
-@dataclass(frozen=True)
-class GcInsSystem:
+class GcInsSystem(namedtuple("GcInsSystem", "components edges axioms alphabet initial final")):
     """Insertion rules on the edges of a directed multigraph of components.
 
     A word is accepted when it is derived from an axiom along an edge path
     from the initial component to the final component; the zero-length path
-    accepts axioms exactly when initial = final.
+    accepts axioms exactly when initial = final. The collections become
+    frozen sets.
     """
 
-    components: frozenset[str]
-    edges: frozenset[tuple[str, InsRule, str]]
-    axioms: LangSet
-    alphabet: frozenset[str]
-    initial: str
-    final: str
-
-    def __init__(self, components, edges, axioms, alphabet, initial, final):
-        object.__setattr__(self, "components", frozenset(components))
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "axioms", axioms)
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
+    def __new__(
+        cls,
+        components: Iterable[str],
+        edges: Iterable[tuple[str, InsRule, str]],
+        axioms: LangSet,
+        alphabet: Iterable[str],
+        initial: str,
+        final: str,
+    ):
+        return super().__new__(
+            cls, frozenset(components), frozenset(edges), axioms, frozenset(alphabet), initial, final
+        )
 
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
@@ -166,20 +158,14 @@ def gjfa_from_gcis(g: GcInsSystem) -> Gjfa:
     return Gjfa(g.components | {sink}, g.alphabet, rules, g.final, {sink})
 
 
-@dataclass(frozen=True)
-class RcGrammar:
-    """Insertion rules with an NFA over rule indices constraining application order."""
+class RcGrammar(namedtuple("RcGrammar", "alphabet axioms rules control")):
+    """Insertion rules with an NFA over rule indices constraining application order.
 
-    alphabet: frozenset[str]
-    axioms: LangSet
-    rules: tuple[InsRule, ...]
-    control: Nfa
+    The alphabet becomes a frozen set and the rules a tuple, indexed by the control's labels.
+    """
 
-    def __init__(self, alphabet, axioms, rules, control):
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "axioms", axioms)
-        object.__setattr__(self, "rules", tuple(rules))
-        object.__setattr__(self, "control", control)
+    def __new__(cls, alphabet: Iterable[str], axioms: LangSet, rules: Iterable[InsRule], control: Nfa):
+        return super().__new__(cls, frozenset(alphabet), axioms, tuple(rules), control)
 
 
 def _control_edges(r: RcGrammar) -> set[tuple[str, InsRule, str]]:

@@ -4,7 +4,7 @@ permutation closure, and bounded generators for the stock languages."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Optional
 
 from jumpfa.core import Word, shortlex_key
@@ -96,25 +96,6 @@ def insert_star_bounded(l: LangSet, k: LangSet, max_len: int) -> LangSet:
     return LangSet(out, max_len)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """A label sequence v1..vd denoting the language eps <- vd <- ... <- v1."""
-
-    labels: tuple[Word, ...]
-
-    @property
-    def degree(self) -> int:
-        return max((len(v) for v in self.labels), default=0)
-
-
-def eval_composition(c: Composition) -> LangSet:
-    """Evaluate eps <- vd <- ... <- v1, i.e. the chain from the left."""
-    cur = LangSet([()])
-    for v in reversed(c.labels):
-        cur = insert(cur, LangSet([v]))
-    return cur
-
-
 def reverse_set(l: LangSet) -> LangSet:
     """Elementwise word reversal."""
     return LangSet((tuple(reversed(w)) for w in l.words), l.bound)
@@ -138,14 +119,15 @@ def shuffle_sets(k: LangSet, l: LangSet, max_len: int) -> LangSet:
     return LangSet(out, max_len)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A total map from domain symbols to words over the target alphabet."""
+class Homomorphism(namedtuple("Homomorphism", "mapping")):
+    """A total map from domain symbols to words over the target alphabet.
 
-    mapping: dict[str, Word]
+    Construction copies the mapping, so the caller's dict can change later;
+    the hash is that of its items, since a dict has none.
+    """
 
-    def __init__(self, mapping: dict[str, Word]):
-        object.__setattr__(self, "mapping", dict(mapping))
+    def __new__(cls, mapping: dict[str, Word]):
+        return super().__new__(cls, dict(mapping))
 
     @property
     def domain(self) -> frozenset[str]:

@@ -14,16 +14,14 @@ as ``str`` (``Gjfa.coded``); the public functions take and return tuples.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from jumpfa.core import Gjfa, Rule, Word, multimap, search
 from jumpfa.langops import LangSet
 
 
-@dataclass(frozen=True)
-class AcceptanceWitness:
+class AcceptanceWitness(NamedTuple):
     """Replayable evidence of acceptance.
 
     ``steps`` lists (rule, position) in deletion order; inserting the labels

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every command pays this import; dataclasses alone (with inspect and ast) adds about 10 ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import jumpfa.cli, sys; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_member_accept(capsys):
@@ -245,6 +263,9 @@ def test_deterministic_output(capsys):
             "edge: yy (eps|a|eps) zz\n",
             "error: edge component 'zz' is not declared",
         ),
+        # found by tests/test_cli_fuzz.py: these converted with exit 0 to an invalid automaton
+        ("alphabet: | a\ncomponent: yy\ninitial: yy\nfinal: yy\naxiom: a\n", "error: invalid token '|'"),
+        ("alphabet: a\ncomponent: yy -1\ninitial: yy\nfinal: yy\n", "error: invalid token '-1'"),
     ],
     ids=[
         "duplicate-final",
@@ -252,6 +273,8 @@ def test_deterministic_output(capsys):
         "undeclared-initial",
         "undeclared-final",
         "undeclared-edge-endpoint",
+        "invalid-alphabet-symbol",
+        "invalid-component",
     ],
 )
 def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, message):
@@ -282,8 +305,16 @@ def test_convert_from_gcis_rejects_bad_initial_or_final(capsys, tmp_path, text, 
             "control-state: s t\ncontrol-initial: s\ncontrol-final: t\ncontrol-edge: s 0 zz\n",
             "error: control-edge state 'zz' is not declared",
         ),
+        # found by tests/test_cli_fuzz.py: rcg-to-gcis passed this state through with exit 0
+        ("control-state: s t -1\ncontrol-initial: s\ncontrol-final: t\n", "error: invalid token '-1'"),
     ],
-    ids=["duplicate-initial", "undeclared-initial", "undeclared-final", "undeclared-edge-endpoint"],
+    ids=[
+        "duplicate-initial",
+        "undeclared-initial",
+        "undeclared-final",
+        "undeclared-edge-endpoint",
+        "invalid-state",
+    ],
 )
 def test_convert_rcg_rejects_bad_control_initial_or_final(capsys, tmp_path, control, message):
     rp = tmp_path / "bad.rcg"

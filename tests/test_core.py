@@ -1,17 +1,19 @@
 import pytest
 
+from jumpfa.analysis import EquivReport, UcReport
 from jumpfa.core import (
     Gjfa,
     Nfa,
     Rule,
     degree,
     is_jfa,
-    path_labeling,
     validate,
     word,
     word_str,
 )
-from jumpfa.corpus import corpus_get
+from jumpfa.corpus import CorpusEntry, corpus_get
+from jumpfa.langops import Homomorphism
+from jumpfa.semantics import AcceptanceWitness
 
 EQUAL_COUNTS = corpus_get("equal_counts_jfa").value
 THM1 = corpus_get("thm1_m").value
@@ -72,26 +74,71 @@ def test_degree_zero_iff_all_eps_labels():
     assert is_jfa(m)
 
 
-def test_path_labeling_single_rule():
-    assert path_labeling((Rule("q", word("a.abar"), "r"),)) == [word("a.abar")]
+# The collection arguments a constructor must coerce: a set, a list or a one-shot generator.
+COLLECTIONS = pytest.mark.parametrize(
+    "make", [set, list, lambda xs: (x for x in xs)], ids=["set", "list", "generator"]
+)
 
 
-def test_path_labeling_two_rules():
-    p = (Rule("q0", ("a",), "q1"), Rule("q1", ("b",), "q2"))
-    assert path_labeling(p) == [("a",), ("b",)]
+def gjfa_from(make):
+    return Gjfa(make(["q", "r"]), make(["a"]), make([Rule("q", ("a",), "r")]), "q", make(["r"]))
 
 
-def test_path_labeling_eps_rules():
-    p = (Rule("q", (), "q"),) * 3
-    assert path_labeling(p) == [(), (), ()]
-    assert len(path_labeling(p)) == len(p)
+def nfa_from(make):
+    transitions = [("0", "a", "1"), ("1", None, "0")]
+    return Nfa(make(["0", "1"]), make(["a"]), make(transitions), "0", make(["1"]))
 
 
-def test_path_labeling_rejects_broken_chain():
-    with pytest.raises(ValueError):
-        path_labeling((Rule("q", ("a",), "r"), Rule("s", ("b",), "t")))
-    with pytest.raises(ValueError):
-        path_labeling(())
+@COLLECTIONS
+@pytest.mark.parametrize("build", [gjfa_from, nfa_from], ids=["Gjfa", "Nfa"])
+def test_constructor_coerces_collections_to_frozensets(build, make):
+    m = build(make)
+    assert m == build(frozenset)
+    assert all(type(field) is frozenset for field in m if not isinstance(field, str))
+
+
+RULE = Rule("q", ("a",), "r")
+VALUES = {
+    "Rule": RULE,
+    "Gjfa": gjfa_from(list),
+    "Nfa": nfa_from(list),
+    "AcceptanceWitness": AcceptanceWitness(("a",), ((RULE, 0),)),
+    "EquivReport": EquivReport(False, 2, (("a",),)),
+    "UcReport": UcReport("passes", ("a",), 1, witness=((), ("a",), ())),
+    "CorpusEntry": CorpusEntry("m", "gjfa", gjfa_from(list), "Sec. 1"),
+}
+
+
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+def test_value_hashes_and_compares_as_its_field_tuple(value):
+    assert hash(value) == hash(tuple(value))
+    assert value == tuple(value)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+
+
+def test_rules_sort_in_field_tuple_order():
+    pa, pab, qb = Rule("p", ("a",), "r"), Rule("p", ("a", "b"), "q"), Rule("q", ("b",), "p")
+    assert sorted([qb, pab, pa, RULE]) == [pa, pab, RULE, qb]
+
+
+def test_cached_forms_are_built_once():
+    m, nfa = gjfa_from(list), nfa_from(list)
+    assert m.coded is m.coded
+    assert nfa.delta is nfa.delta
+    # bench/spans.py times these by rebinding them on the class
+    assert {"step", "eps_closure", "enumerate_bounded"} <= Nfa.__dict__.keys()
+
+
+def test_homomorphism_copies_its_mapping_and_hashes_by_items():
+    mapping = {"a": ("b",), "c": ()}
+    h = Homomorphism(mapping)
+    mapping["a"] = ("c",)
+    assert h.apply(("a", "c")) == ("b",)
+    assert hash(h) == hash(Homomorphism({"c": (), "a": ("b",)}))
+    assert h == Homomorphism({"a": ("b",), "c": ()}) != Homomorphism(mapping)
+    with pytest.raises(AttributeError):
+        h.mapping = {}
 
 
 def make_ab_nfa():

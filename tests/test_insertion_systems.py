@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_core import COLLECTIONS
 
 from jumpfa.analysis import bounded_equiv
 from jumpfa.core import multimap, search, word
@@ -34,6 +35,37 @@ DYCK_RULE = InsRule((), word("a.abar"), ())
 
 def dyck_system():
     return InsSystem({"a", "abar"}, langset("eps"), {DYCK_RULE})
+
+
+def systems_from(make):
+    """An InsSystem, a GcInsSystem and an RcGrammar whose collection arguments are built by make."""
+    control = Nfa({"c"}, {"0"}, {("c", "0", "c")}, "c", {"c"})
+    return (
+        InsSystem(make(["a", "abar"]), langset("eps"), make([DYCK_RULE])),
+        GcInsSystem(make(["p"]), make([("p", DYCK_RULE, "p")]), langset("eps"), make(["a"]), "p", "p"),
+        RcGrammar(make(["a", "abar"]), langset("eps"), make([DYCK_RULE]), control),
+    )
+
+
+@COLLECTIONS
+def test_system_constructors_coerce_collections(make):
+    ins, gcis, rcg = systems_from(make)
+    assert (ins, gcis, rcg) == systems_from(frozenset)
+    assert type(ins.alphabet) is type(ins.rules) is frozenset
+    assert type(gcis.components) is type(gcis.edges) is type(gcis.alphabet) is frozenset
+    assert type(rcg.alphabet) is frozenset and rcg.rules == (DYCK_RULE,)
+
+
+@pytest.mark.parametrize("value", [DYCK_RULE, *systems_from(list)], ids=lambda v: type(v).__name__)
+def test_insertion_value_hashes_as_its_field_tuple(value):
+    assert hash(value) == hash(tuple(value))
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+
+
+def test_ins_rules_sort_in_field_tuple_order():
+    a_c, ab, b = InsRule((), ("a",), ("c",)), InsRule((), ("a", "b"), ()), InsRule(("b",), (), ())
+    assert sorted([b, ab, a_c, DYCK_RULE]) == [a_c, DYCK_RULE, ab, b]
 
 
 def test_apply_rule_no_context():

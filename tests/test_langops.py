@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from jumpfa.core import word
 from jumpfa.corpus import corpus_get, dyck_balance, semidyck2_balance
 from jumpfa.langops import (
-    Composition,
     Homomorphism,
     LangSet,
     dyck_bounded,
-    eval_composition,
     hom_preimage_bounded,
     insert,
     insert_star_bounded,
@@ -81,27 +79,6 @@ def test_insert_star_monotone_over_base():
     base = langset("a.b", "b")
     out = insert_star_bounded(base, langset("c"), 6)
     assert base.words <= out.words
-
-
-def test_eval_composition_empty_chain():
-    assert eval_composition(Composition(())) == langset("eps")
-
-
-def test_eval_composition_single_label():
-    assert eval_composition(Composition((word("a.abar"),))) == langset("a.abar")
-
-
-def test_eval_composition_two_labels():
-    # eps <- a.abar <- abar.a, applied from the right
-    got = eval_composition(Composition((word("abar.a"), word("a.abar"))))
-    assert got == insert(langset("a.abar"), langset("abar.a"))
-
-
-def test_eval_composition_word_lengths():
-    labels = (word("a.b"), word("c"), word("eps"))
-    total = sum(len(v) for v in labels)
-    for w in eval_composition(Composition(labels)):
-        assert len(w) == total
 
 
 def test_reverse_set_involution():
