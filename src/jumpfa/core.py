@@ -3,7 +3,9 @@
 Symbols and state ids are plain interned token strings; words are tuples of
 symbol tokens. The empty tuple is the empty word and is written ``eps`` in
 all textual forms. Every bounded search over automata and insertion
-systems runs on :func:`search`.
+systems runs on :func:`search`; every bounded insertion closure (GJFA
+enumeration, iterated insertion and the three insertion systems) runs on
+:func:`insertion_closure`, on words coded by :class:`Code`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque, namedtuple
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -112,6 +115,50 @@ class Code:
 
     def decode(self, u: str) -> Word:
         return tuple([self.symbols[ord(c)] for c in u])
+
+
+def insertion_closure(edges, starts, max_len: int) -> tuple[dict, Code]:
+    """The search's parent map over (node, coded word) pairs reached from the starts, and the code.
+
+    ``starts`` is a list of (node, word) pairs. Each (src, rule, dst) edge
+    applies rule, a (left, ins, right) triple of words, to a word at src: it
+    inserts ins between an occurrence of left and right and moves to dst. A word
+    longer than max_len is never built, and a longer start is dropped. The
+    symbols of the starts and rules are coded once, so a rule with contexts
+    inserts at each occurrence of the coded left + right. A context-free rule
+    skips the positions that repeat the word of the position before: an
+    empty ins gives the same word everywhere, and an ins made of one repeated
+    symbol c gives the same word just after a c as just before it. Callers
+    decode only the words they keep.
+    """
+    edges = [(src, rule, *rule, dst) for src, rule, dst in edges]
+    code = Code(chain(*(w for _, w in starts), *(left + ins + right for _, _, left, ins, right, _ in edges)))
+    by_src = multimap(
+        (src, (rule, code.encode(left + right), len(left), code.encode(ins), dst))
+        for src, rule, left, ins, right, dst in edges
+    )
+
+    def successors(node):
+        src, w = node
+        room = max_len - len(w)
+        for rule, context, cut, v, dst in by_src.get(src, ()):
+            if len(v) > room:
+                continue
+            if context:
+                pos = w.find(context)
+                while pos >= 0:
+                    i = pos + cut
+                    yield rule, (dst, w[:i] + v + w[i:])
+                    pos = w.find(context, pos + 1)
+            else:
+                run = v[0] if v and v.count(v[0]) == len(v) else None
+                for i in range(len(w) + 1 if v else 1):
+                    if i and w[i - 1] == run:
+                        continue
+                    yield rule, (dst, w[:i] + v + w[i:])
+
+    parents, _ = search([(node, code.encode(w)) for node, w in starts if len(w) <= max_len], successors)
+    return parents, code
 
 
 class Coded(Code):

@@ -5,10 +5,9 @@ context-free (0,0) classes to jumping automata."""
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
 from typing import Iterable, NamedTuple
 
-from jumpfa.core import Code, Gjfa, Nfa, Rule, Word, fresh_state, multimap, search, word_str
+from jumpfa.core import Gjfa, Nfa, Rule, Word, fresh_state, insertion_closure, word_str
 from jumpfa.langops import LangSet
 
 
@@ -46,6 +45,13 @@ class InsSystem(namedtuple("InsSystem", "alphabet axioms rules")):
         return super().__new__(cls, frozenset(alphabet), axioms, frozenset(rules))
 
 
+def _require_context_free(rules: Iterable[InsRule]) -> None:
+    """Raise NonzeroContextError for the first rule, in the given order, that has a context."""
+    for rule in rules:
+        if not rule.context_free:
+            raise NonzeroContextError(rule)
+
+
 def apply_rule(rule: InsRule, w: Word) -> set[Word]:
     """The words from inserting rule.ins into w where w reads ...left][right..."""
     lw, rw = len(rule.left), len(rule.right)
@@ -56,49 +62,10 @@ def apply_rule(rule: InsRule, w: Word) -> set[Word]:
     }
 
 
-def _derivations(edges, initial: str, axioms: LangSet, max_len: int) -> tuple[dict, Code]:
-    """The search's parent map over (node, coded word) pairs from (initial, axiom), and the code.
-
-    Each (src, rule, dst) edge applies rule to a word at src; a word longer
-    than max_len is never built. The symbols of the axioms and rules are
-    coded once (``Code``), so a rule with contexts inserts between left and
-    right at each occurrence of the coded left + right. A context-free rule
-    skips the positions that repeat the word of the position before, as
-    ``semantics._insertions`` does. Callers decode only the words they keep.
-    """
-    code = Code(chain(*axioms.words, *(r.left + r.ins + r.right for _, r, _ in edges)))
-    by_src = multimap(
-        (src, (rule, code.encode(rule.left + rule.right), len(rule.left), code.encode(rule.ins), dst))
-        for src, rule, dst in edges
-    )
-
-    def successors(node):
-        src, w = node
-        room = max_len - len(w)
-        for rule, context, cut, v, dst in by_src.get(src, ()):
-            if len(v) > room:
-                continue
-            if context:
-                pos = w.find(context)
-                while pos >= 0:
-                    i = pos + cut
-                    yield rule, (dst, w[:i] + v + w[i:])
-                    pos = w.find(context, pos + 1)
-            else:
-                run = v[0] if v and v.count(v[0]) == len(v) else None
-                for i in range(len(w) + 1 if v else 1):
-                    if i and w[i - 1] == run:
-                        continue
-                    yield rule, (dst, w[:i] + v + w[i:])
-
-    starts = [(initial, code.encode(w)) for w in axioms.words if len(w) <= max_len]
-    parents, _ = search(starts, successors)
-    return parents, code
-
-
 def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     """Closure of the axioms under the rules, truncated to max_len."""
-    parents, code = _derivations({("", rule, "") for rule in sys.rules}, "", sys.axioms, max_len)
+    edges = [("", rule, "") for rule in sys.rules]
+    parents, code = insertion_closure(edges, [("", w) for w in sys.axioms.words], max_len)
     return LangSet((code.decode(u) for _, u in parents), max_len)
 
 
@@ -127,7 +94,7 @@ class GcInsSystem(namedtuple("GcInsSystem", "components edges axioms alphabet in
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
     """Words of length <= max_len reachable at the final component."""
-    parents, code = _derivations(g.edges, g.initial, g.axioms, max_len)
+    parents, code = insertion_closure(g.edges, [(g.initial, w) for w in g.axioms.words], max_len)
     return LangSet((code.decode(u) for comp, u in parents if comp == g.final), max_len)
 
 
@@ -149,9 +116,7 @@ def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
 
 def gjfa_from_gcis(g: GcInsSystem) -> Gjfa:
     """Inverse direction for context-free systems: axioms become final deletions."""
-    for _, rule, _ in sorted(g.edges, key=lambda e: (e[0], e[1], e[2])):
-        if not rule.context_free:
-            raise NonzeroContextError(rule)
+    _require_context_free(rule for _, rule, _ in sorted(g.edges))
     sink = fresh_state(g.components)
     rules = {Rule(dst, rule.ins, src) for src, rule, dst in g.edges}
     rules |= {Rule(g.initial, a, sink) for a in g.axioms.words}
@@ -178,15 +143,14 @@ def _control_edges(r: RcGrammar) -> set[tuple[str, InsRule, str]]:
 
 def rcg_enumerate(r: RcGrammar, max_len: int) -> LangSet:
     """Words derivable along a rule-index sequence the control NFA accepts."""
-    parents, code = _derivations(_control_edges(r), r.control.initial, r.axioms, max_len)
+    starts = [(r.control.initial, w) for w in r.axioms.words]
+    parents, code = insertion_closure(_control_edges(r), starts, max_len)
     return LangSet((code.decode(u) for state, u in parents if state in r.control.finals), max_len)
 
 
 def rcg_from_gcis(g: GcInsSystem) -> RcGrammar:
     """Component graph becomes the control NFA; edges are relabeled by rule index."""
-    for _, rule, _ in g.edges:
-        if not rule.context_free:
-            raise NonzeroContextError(rule)
+    _require_context_free(rule for _, rule, _ in sorted(g.edges))
     rules = tuple(sorted({rule for _, rule, _ in g.edges}))
     index = {rule: i for i, rule in enumerate(rules)}
     transitions = {(src, str(index[rule]), dst) for src, rule, dst in g.edges}
@@ -206,9 +170,7 @@ def gcis_from_rcg(r: RcGrammar) -> GcInsSystem:
     If the control has several final states, a fresh final component collects
     them by no-op edges (the graph-controlled model fixes a single final).
     """
-    for rule in r.rules:
-        if not rule.context_free:
-            raise NonzeroContextError(rule)
+    _require_context_free(r.rules)
     edges = _control_edges(r)
     components = set(r.control.states)
     finals = sorted(r.control.finals)

@@ -7,7 +7,7 @@ import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Optional
 
-from jumpfa.core import Word, shortlex_key
+from jumpfa.core import Word, insertion_closure, shortlex_key
 
 
 class LangSet:
@@ -60,16 +60,9 @@ def langset(*dotted: str) -> LangSet:
     return LangSet(word(t) for t in dotted)
 
 
-def _insert_word(u: Word, v: Word) -> set[Word]:
-    return {u[:i] + v + u[i:] for i in range(len(u) + 1)}
-
-
 def insert(l: LangSet, k: LangSet) -> LangSet:
     """All words u1 v u2 with u1u2 in l and v in k (every split point)."""
-    out: set[Word] = set()
-    for u in l.words:
-        for v in k.words:
-            out |= _insert_word(u, v)
+    out = {u[:i] + v + u[i:] for u in l.words for v in k.words for i in range(len(u) + 1)}
     bound = None
     if l.bound is not None and k.words:
         bound = l.bound + max(len(v) for v in k.words)
@@ -79,21 +72,12 @@ def insert(l: LangSet, k: LangSet) -> LangSet:
 def insert_star_bounded(l: LangSet, k: LangSet, max_len: int) -> LangSet:
     """Iterated-insertion closure truncated to words of length <= max_len.
 
-    Empty words are stripped from k first: they insert nothing and would keep
-    the fixpoint iteration from detecting convergence.
+    The closure of l under the context-free insertion rules k at one node
+    (:func:`core.insertion_closure`).
     """
-    kws = [v for v in k.words if v]
-    out = {w for w in l.words if len(w) <= max_len}
-    frontier = set(out)
-    while frontier:
-        fresh: set[Word] = set()
-        for u in frontier:
-            for v in kws:
-                if len(u) + len(v) <= max_len:
-                    fresh |= _insert_word(u, v)
-        frontier = fresh - out
-        out |= fresh
-    return LangSet(out, max_len)
+    edges = [("", ((), v, ()), "") for v in k.words]
+    parents, code = insertion_closure(edges, [("", w) for w in l.words], max_len)
+    return LangSet((code.decode(u) for _, u in parents), max_len)
 
 
 def reverse_set(l: LangSet) -> LangSet:

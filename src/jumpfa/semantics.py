@@ -8,7 +8,8 @@ initial state carrying exactly that word.
 
 The tape-head position is not modeled: the head may move anywhere in each
 step, so a configuration is just (state, word). Searches run on words coded
-as ``str`` (``Gjfa.coded``); the public functions take and return tuples.
+as ``str`` (``Gjfa.coded``, or the code of :func:`core.insertion_closure` for
+enumeration); the public functions take and return tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Rule, Word, multimap, search
+from jumpfa.core import Gjfa, Rule, Word, insertion_closure, multimap, search
 from jumpfa.langops import LangSet
 
 
@@ -106,29 +107,27 @@ def _embeds(v: str, t: str, lo: int, hi: int) -> bool:
     return True
 
 
-def _insertions(m: Gjfa, max_len: int, target: Optional[str] = None):
-    """Successors of the backward walk on coded words, up to length max_len.
+def _insertions(m: Gjfa, target: str):
+    """Successors of the backward walk toward target on coded words: its subsequences only.
 
-    From a rule (q, v, r) the walk moves r -> q, inserting v at any position.
-    Positions that repeat the word of the position before are skipped: an
-    empty v gives the same word everywhere, and a v made of one repeated
-    symbol c gives the same word just after a c as just before it. A
-    ``target`` of length max_len keeps only its subsequences: with u[:i] in a
-    shortest prefix target[:lo[i]] and u[i:] in a shortest suffix
-    target[hi[i]:], v at i keeps one iff v embeds in target[lo[i]:hi[i]].
-    On a JFA with a target, the walk goes by Parikh vectors instead
+    From a rule (q, v, r) the walk moves r -> q, inserting v at a position
+    that keeps a subsequence of target. Positions that repeat the word of the
+    position before are skipped, as in :func:`core.insertion_closure`, the
+    unpruned walk. With u[:i] in a shortest prefix target[:lo[i]] and u[i:]
+    in a shortest suffix target[hi[i]:], v at i keeps one iff v embeds in
+    target[lo[i]:hi[i]]. On a JFA the walk goes by Parikh vectors instead
     (:func:`_parikh_insertions`).
     """
     by_dst = m.coded.by_dst
-    if target is not None and m.coded.jfa:
+    if m.coded.jfa:
         return _parikh_insertions(by_dst, target)
+    n = len(target)
 
     def successors(node):
         state, u = node
-        room = max_len - len(u)
-        if target is not None:
-            lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
-            hi = [*accumulate(u[::-1], lambda j, c: target.rfind(c, 0, j), initial=max_len)][::-1]
+        room = n - len(u)
+        lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
+        hi = [*accumulate(u[::-1], lambda j, c: target.rfind(c, 0, j), initial=n)][::-1]
         for rule, v in by_dst.get(state, ()):
             if len(v) <= room:
                 src = rule.src
@@ -136,7 +135,7 @@ def _insertions(m: Gjfa, max_len: int, target: Optional[str] = None):
                 for i in range(len(u) + 1 if v else 1):
                     if i and u[i - 1] == run:
                         continue
-                    if target is None or _embeds(v, target, lo[i], hi[i]):
+                    if _embeds(v, target, lo[i], hi[i]):
                         yield rule, (src, u[:i] + v + u[i:])
 
     return successors
@@ -179,13 +178,18 @@ def generate_accepts(m: Gjfa, w: Word) -> bool:
     if u is None:
         return False
     goal = (m.initial, u)
-    _, found = search([(f, "") for f in m.finals], _insertions(m, len(u), u), goal.__eq__)
+    _, found = search([(f, "") for f in m.finals], _insertions(m, u), goal.__eq__)
     return found is not None
 
 
 def enumerate_language(m: Gjfa, max_len: int) -> LangSet:
-    """L(m) truncated to words of length <= max_len, by backward generation."""
-    parents, _ = search([(f, "") for f in m.finals], _insertions(m, max_len))
+    """L(m) truncated to words of length <= max_len, by backward generation.
+
+    The walk is the insertion closure of the reversed rule graph (a rule
+    (q, v, r) inserts v on the edge r -> q) from the empty word at each final state.
+    """
+    edges = [(r.dst, ((), r.label, ()), r.src) for r in m.rules]
+    parents, code = insertion_closure(edges, [(f, ()) for f in m.finals], max_len)
     coded = [u for state, u in parents if state == m.initial]
     del parents  # free the search map before decoding
-    return LangSet(map(m.coded.decode, coded), max_len)
+    return LangSet(map(code.decode, coded), max_len)

@@ -470,3 +470,25 @@ def test_convert_rejects_word_outside_alphabet(capsys, tmp_path, direction, suff
     code, out, err = run(capsys, "convert", direction, str(path))
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("direction", ["gcis-to-rcg", "from-gcis"])
+def test_convert_names_the_same_context_rule_under_every_hash_seed(tmp_path, direction):
+    # edges are a frozenset, so an unsorted walk would name a rule by hash order
+    path = tmp_path / "ctx.gcis"
+    path.write_text(
+        "alphabet: a b\ncomponent: p q\ninitial: p\nfinal: q\naxiom: eps\n"
+        "edge: p (a|b|eps) q\nedge: q (b|a|eps) p\nedge: p (eps|a|b) p\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    errors = set()
+    for seed in "0123":
+        done = subprocess.run(
+            [sys.executable, "-m", "jumpfa.cli", "convert", direction, str(path)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        errors.add(done.stderr)
+    assert errors == {"error: rule (eps|a|b) has a non-empty context\n"}

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import pytest
 
 from jumpfa.analysis import EquivReport, UcReport
@@ -122,12 +127,26 @@ def test_rules_sort_in_field_tuple_order():
     assert sorted([qb, pab, pa, RULE]) == [pa, pab, RULE, qb]
 
 
+def _load_bench_spans():
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_cached_forms_are_built_once():
     m, nfa = gjfa_from(list), nfa_from(list)
     assert m.coded is m.coded
     assert nfa.delta is nfa.delta
-    # bench/spans.py times these by rebinding them on the class
-    assert {"step", "eps_closure", "enumerate_bounded"} <= Nfa.__dict__.keys()
+    # bench/spans.py times these by rebinding them on their module or on the
+    # class, so a moved or renamed one breaks the traced benchmark run
+    spans = _load_bench_spans()
+    for mod, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"jumpfa.{mod}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{mod}.{name}"
+    assert set(spans.NFA_METHODS) <= Nfa.__dict__.keys()
 
 
 def test_homomorphism_copies_its_mapping_and_hashes_by_items():

@@ -4,7 +4,7 @@ import pytest
 from test_core import COLLECTIONS
 
 from jumpfa.analysis import bounded_equiv
-from jumpfa.core import multimap, search, word
+from jumpfa.core import Gjfa, Rule, insertion_closure, multimap, search, word
 from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.insertion_systems import (
     GcInsSystem,
@@ -13,7 +13,6 @@ from jumpfa.insertion_systems import (
     NonzeroContextError,
     RcGrammar,
     _control_edges,
-    _derivations,
     apply_rule,
     gcis_enumerate,
     gcis_from_gjfa,
@@ -236,9 +235,9 @@ def test_rcg_enumerate_eps_move_two_finals_matches_gcis():
     assert rcg_enumerate(r, 5) == gcis_enumerate(gcis_from_rcg(r), 5)
 
 
-def _plain_derivations(edges, initial, axioms, max_len):
+def _plain_derivations(edges, starts, max_len):
     """The (node, word) pairs reached by applying rules with apply_rule, on tuple words."""
-    by_src = multimap((src, (rule, dst)) for src, rule, dst in edges)
+    by_src = multimap((src, (InsRule(*rule), dst)) for src, rule, dst in edges)
 
     def successors(node):
         src, w = node
@@ -247,7 +246,7 @@ def _plain_derivations(edges, initial, axioms, max_len):
                 if len(nxt) <= max_len:
                     yield rule, (dst, nxt)
 
-    parents, _ = search([(initial, w) for w in axioms.words if len(w) <= max_len], successors)
+    parents, _ = search([(node, w) for node, w in starts if len(w) <= max_len], successors)
     return set(parents)
 
 
@@ -264,15 +263,19 @@ def _random_axioms(rng):
     return LangSet([_random_word(rng, 2) for _ in range(rng.randint(1, 3))] + [_random_word(rng, 3) or ("a",)])
 
 
+def _starts(node, axioms):
+    return [(node, w) for w in axioms.words]
+
+
 def _random_systems(rng):
-    """An InsSystem, a GcInsSystem and an RcGrammar, each with its edges, initial node and finals."""
+    """An InsSystem, a GcInsSystem, an RcGrammar and a GJFA, each with its edges, starts and finals."""
     sys = InsSystem("ab", _random_axioms(rng), [_random_rule(rng) for _ in range(rng.randint(1, 3))])
-    yield sys, {("", rule, "") for rule in sys.rules}, "", {""}
+    yield sys, {("", rule, "") for rule in sys.rules}, _starts("", sys.axioms), {""}
 
     comps = [f"c{i}" for i in range(rng.randint(1, 3))]
     edges = {(rng.choice(comps), _random_rule(rng), rng.choice(comps)) for _ in range(rng.randint(1, 5))}
     g = GcInsSystem(comps, edges, _random_axioms(rng), "ab", rng.choice(comps), rng.choice(comps))
-    yield g, g.edges, g.initial, {g.final}
+    yield g, g.edges, _starts(g.initial, g.axioms), {g.final}
 
     rules = tuple(_random_rule(rng) for _ in range(rng.randint(1, 3)))
     states = [f"p{i}" for i in range(rng.randint(1, 3))]
@@ -280,28 +283,44 @@ def _random_systems(rng):
     transitions = {(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(rng.randint(1, 5))}
     control = Nfa(states, labels[1:], transitions, states[0], rng.sample(states, rng.randint(1, len(states))))
     r = RcGrammar("ab", _random_axioms(rng), rules, control)
-    yield r, _control_edges(r), control.initial, control.finals
+    yield r, _control_edges(r), _starts(control.initial, r.axioms), control.finals
+
+    # the reversed rule graph as enumerate_language walks it, rules as plain
+    # triples, from the empty word at each of two or more final states
+    states = [f"q{i}" for i in range(rng.randint(2, 3))]
+    rules = {Rule(rng.choice(states), _random_word(rng, 2), rng.choice(states)) for _ in range(rng.randint(1, 4))}
+    rules.add(Rule(rng.choice(states), (), rng.choice(states)))
+    m = Gjfa(states, "ab", rules, states[0], rng.sample(states, rng.randint(2, len(states))))
+    edges = {(rule.dst, ((), rule.label, ()), rule.src) for rule in m.rules}
+    yield m, edges, [(f, ()) for f in m.finals], {m.initial}
 
 
 def test_coded_derivations_match_apply_rule_search(search_counter):
-    # contexts, empty inserts, several components and eps control moves all
-    # occur among the seeded systems; every axiom set has a non-empty word
-    enumerate_system = {InsSystem: ins_enumerate, GcInsSystem: gcis_enumerate, RcGrammar: rcg_enumerate}
+    # contexts, empty inserts, several components, eps control moves and
+    # several starts all occur among the seeded systems; every axiom set has
+    # a non-empty word
+    enumerate_system = {
+        InsSystem: ins_enumerate,
+        GcInsSystem: gcis_enumerate,
+        RcGrammar: rcg_enumerate,
+        Gjfa: enumerate_language,
+    }
     rng = random.Random(1997)
     seen = set()
     for _ in range(100):
-        for system, edges, initial, finals in _random_systems(rng):
+        for system, edges, starts, finals in _random_systems(rng):
             max_len = rng.randint(3, 6)
-            plain = _plain_derivations(edges, initial, system.axioms, max_len)
-            parents, code = _derivations(edges, initial, system.axioms, max_len)
+            plain = _plain_derivations(edges, starts, max_len)
+            parents, code = insertion_closure(edges, starts, max_len)
             assert search_counter[-1] is parents
             assert len(parents) == len(plain)
             assert {(node, code.decode(u)) for node, u in parents} == plain, system
             language = {w for node, w in plain if node in finals}
             assert enumerate_system[type(system)](system, max_len) == language, system
-            seen |= {"context" for _, rule, _ in edges if not rule.context_free}
-            seen |= {"empty insert" for _, rule, _ in edges if not rule.ins}
+            seen |= {"context" for _, (left, _, right), _ in edges if left or right}
+            seen |= {"empty insert" for _, (_, ins, _), _ in edges if not ins}
             seen |= {"components" for src, _, dst in edges if src != dst}
+            seen |= {"starts" for node, _ in starts if node != starts[0][0]}
             if isinstance(system, RcGrammar):
                 seen |= {"eps move" for _, label, _ in system.control.transitions if label is None}
-    assert seen == {"context", "empty insert", "components", "eps move"}
+    assert seen == {"context", "empty insert", "components", "eps move", "starts"}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,31 @@ def test_insert_star_strips_eps_from_k():
     with_eps = insert_star_bounded(langset("eps"), langset("eps", "a"), 3)
     without = insert_star_bounded(langset("eps"), langset("a"), 3)
     assert with_eps == without
+
+
+def _insert_until_fixed(l, k, max_len):
+    # reference on tuple words through insert(), independent of core.insertion_closure
+    out = {w for w in l.words if len(w) <= max_len}
+    while True:
+        grown = out | {w for w in insert(LangSet(out), k).words if len(w) <= max_len}
+        if grown == out:
+            return out
+        out = grown
+
+
+def test_insert_star_matches_insert_until_fixed():
+    rng = random.Random(2015)
+
+    def lang(most, size):
+        return LangSet(tuple(rng.choice("abc") for _ in range(rng.randint(0, most))) for _ in range(size))
+
+    seen = set()
+    for _ in range(60):
+        l, k, max_len = lang(6, rng.randint(1, 3)), lang(3, rng.randint(0, 3)), rng.randint(0, 5)
+        assert insert_star_bounded(l, k, max_len) == _insert_until_fixed(l, k, max_len), (l, k, max_len)
+        seen |= {"eps in k" for v in k.words if not v}
+        seen |= {"long base word" for w in l.words if len(w) > max_len}
+    assert seen == {"eps in k", "long base word"}
 
 
 def test_insert_star_monotone_over_base():
