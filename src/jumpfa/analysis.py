@@ -10,10 +10,12 @@ proves that no degree-n jumping automaton accepts the language.
 
 from __future__ import annotations
 
+from collections import Counter
+from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from jumpfa.core import Gjfa, Nfa, Word, degree, is_jfa
-from jumpfa.langops import LangSet, perm_closure
+from jumpfa.langops import LangSet
 from jumpfa.semantics import enumerate_language
 
 Oracle = Callable[[Word], bool]
@@ -138,11 +140,32 @@ def gjfa_as_nfa(m: Gjfa) -> Nfa:
     return Nfa(m.states, m.alphabet, transitions, m.initial, m.finals)
 
 
+def _parikh(w: Word) -> tuple[tuple[str, int], ...]:
+    """The Parikh vector of w, as its (symbol, count) pairs in symbol order."""
+    return tuple(sorted(Counter(w).items()))
+
+
+def _multinomial(vector: tuple[tuple[str, int], ...]) -> int:
+    """The number of words with the given Parikh vector."""
+    total, count = 0, 1
+    for _, k in vector:
+        total += k
+        count *= comb(total, k)
+    return count
+
+
 def jfa_permutation_check(m: Gjfa, max_len: int) -> bool:
-    """Jumping language equals the permutation closure of the classical NFA language."""
+    """Jumping language equals the permutation closure of the classical NFA language.
+
+    Both sides are cut at max_len, and a permutation keeps the length, so the
+    closure of the NFA's words up to max_len is the whole right side. Without
+    building it: the two sides are equal iff they have the same Parikh
+    vectors and the jumping side holds, for each vector, every word with it,
+    as many as the vector's multinomial coefficient.
+    """
     nfa = gjfa_as_nfa(m)
-    regular = LangSet(nfa.enumerate_bounded(max_len), max_len)
-    closed = LangSet(
-        (w for w in perm_closure(regular).words if len(w) <= max_len), max_len
+    regular = {_parikh(w) for w in nfa.enumerate_bounded(max_len)}
+    jumping = Counter(map(_parikh, enumerate_language(m, max_len).words))
+    return jumping.keys() == regular and all(
+        count == _multinomial(vector) for vector, count in jumping.items()
     )
-    return enumerate_language(m, max_len) == closed

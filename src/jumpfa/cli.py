@@ -9,6 +9,7 @@ Reports go to stdout, diagnostics to stderr. Words on the command line are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,7 +198,9 @@ def _add(sub, name, fn, *positionals, help, max_len=False, as_json=False, **defa
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="jumpfa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("insert-star", constructions.insert_star_gjfa, "L <-* K: insert the words repeatedly"),
     ):
         p = _add(ops, name, _cmd_insert, "automaton", help=text, build=build)
-        p.add_argument("words", nargs="*", default=[])
+        p.add_argument("words", nargs="*", default=())
     p = _add(ops, "finite", _cmd_finite, help="the finite language of the words")
-    p.add_argument("words", nargs="*", default=[])
+    p.add_argument("words", nargs="*", default=())
     p.add_argument("--alphabet", required=True, help="dot-separated symbols")
 
     p = sub.add_parser("convert", help="convert between automata and systems")

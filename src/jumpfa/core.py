@@ -109,7 +109,7 @@ class Code:
     def encode(self, w: Iterable[str]) -> Optional[str]:
         """The coded form of w, or None when w has a symbol outside the code."""
         try:
-            return "".join([self.chars[sym] for sym in w])
+            return "".join(map(self.chars.__getitem__, w))
         except KeyError:
             return None
 
@@ -162,7 +162,8 @@ def insertion_closure(edges, starts, max_len: int) -> tuple[dict, Code]:
 
 
 class Coded(Code):
-    """An automaton's code; its rules paired with coded labels, grouped by source and by target state."""
+    """An automaton's code; its rules paired with coded labels, grouped by source and by
+    target state, and its accepting configurations (final state, empty word)."""
 
     def __init__(self, m: Gjfa):
         super().__init__(m.alphabet.union(*(r.label for r in m.rules)))
@@ -170,6 +171,7 @@ class Coded(Code):
         self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in pairs)
         self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in pairs)
         self.jfa = is_jfa(m)  # every label has length at most 1
+        self.goals = frozenset((f, "") for f in m.finals)
 
 
 class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
@@ -205,7 +207,7 @@ class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
         rules, and rebuilt at twice the bound when a longer word asks. A state
         with no path to a final state is absent.
         """
-        bound, masks = self.__dict__.get("_length_masks", (-1, {}))
+        bound, masks = self.__dict__.get("_length_masks", (-1, None))
         if n > bound:
             bound = max(n, 2 * bound)
             full = (2 << bound) - 1

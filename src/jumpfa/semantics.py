@@ -64,27 +64,38 @@ def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] 
     return successors
 
 
+def _accepting_search(m: Gjfa, w: Word):
+    """The search of :func:`acceptance_witness` on the tuple w: (parents, accepting node) or None.
+
+    The length test comes first, so a word of a length L(m) lacks is not coded.
+    """
+    n = len(w)
+    masks = m.length_masks(n)
+    if not masks.get(m.initial, 0) >> n & 1:
+        return None
+    coded = m.coded
+    u = coded.encode(w)
+    if u is None:
+        return None
+    parents, node = search([(m.initial, u)], _deletions(m, coded.jfa, masks), coded.goals.__contains__)
+    return None if node is None else (parents, node)
+
+
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     """Breadth-first deletion search; returns the replayable witness on acceptance.
 
-    A word with a symbol outside the code, or with a length that no path
-    from the initial state to a final state has, is rejected at once. The
+    A word with a length that no path from the initial state to a final
+    state has, or with a symbol outside the code, is rejected at once. The
     search tries a rule only when the remainder's length is in the length
     set of the rule's target state. A JFA accepts by the Parikh vector of
     the word alone, so there each label is deleted at its leftmost
     occurrence only, and a remainder stands for its vector.
     """
     w = tuple(w)
-    u = m.coded.encode(w)
-    if u is None:
+    found = _accepting_search(m, w)
+    if found is None:
         return None
-    masks = m.length_masks(len(u))
-    if not masks.get(m.initial, 0) >> len(u) & 1:
-        return None
-    goals = {(f, "") for f in m.finals}
-    parents, node = search([(m.initial, u)], _deletions(m, m.coded.jfa, masks), goals.__contains__)
-    if node is None:
-        return None
+    parents, node = found
     steps: list[tuple[Rule, int]] = []
     while parents[node] is not None:
         node, step = parents[node]
@@ -94,8 +105,8 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
 
 
 def jump_accepts(m: Gjfa, w: Word) -> bool:
-    """Deletion-side acceptance."""
-    return acceptance_witness(m, w) is not None
+    """Deletion-side acceptance: the search of :func:`acceptance_witness`, without the witness."""
+    return _accepting_search(m, tuple(w)) is not None
 
 
 def _embeds(v: str, t: str, lo: int, hi: int) -> bool:

@@ -1,0 +1,119 @@
+"""Mutation check for the fast paths: each listed mutant must fail its tests.
+
+A mutant is one exact text replacement in one file of ``src/jumpfa``, and
+the test files that must catch it. The script copies ``src/`` (with
+``tests/`` and ``bench/``, which the tests read) to a temporary directory,
+checks that the unmutated copy passes every named test file, then applies
+each mutant in turn and runs its test files against the copy.
+
+It exits 1 when a mutant survives or when an ``old`` text does not occur
+exactly once (a refactor must update its mutants), and 0 when every mutant
+is killed. pytest does not collect this file. Run it from the repository
+root:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants only
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/jumpfa
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "early length test reads bit n + 1",
+        "semantics.py",
+        "if not masks.get(m.initial, 0) >> n & 1:",
+        "if not masks.get(m.initial, 0) >> n + 1 & 1:",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "goal set built from the states, not the finals",
+        "core.py",
+        'self.goals = frozenset((f, "") for f in m.finals)',
+        'self.goals = frozenset((f, "") for f in m.states)',
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "Parikh check compares vector sets only",
+        "analysis.py",
+        "count == _multinomial(vector) for vector, count in jumping.items()",
+        "count > 0 for vector, count in jumping.items()",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "multinomial coefficient off by one",
+        "analysis.py",
+        "count *= comb(total, k)",
+        "count *= comb(total + 1, k)",
+        ("tests/test_analysis.py",),
+    ),
+]
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code for the test files, run against the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main(names: list[str]) -> int:
+    mutants = [mu for mu in MUTANTS if not names or mu.name in names]
+    unknown = set(names) - {mu.name for mu in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="jumpfa-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        missing = []
+        for mu in mutants:
+            count = (copy / "src" / "jumpfa" / mu.path).read_text().count(mu.old)
+            if count != 1:
+                missing.append(f"{mu.name}: {mu.path} holds its old text {count} times, not once")
+        if missing:
+            print("\n".join(missing), file=sys.stderr)
+            return 1
+        tests = tuple(sorted({t for mu in mutants for t in mu.tests}))
+        if run_tests(copy, tests) != 0:
+            print(f"the unmutated copy fails {' '.join(tests)}", file=sys.stderr)
+            return 1
+        not_killed = []
+        for mu in mutants:
+            target = copy / "src" / "jumpfa" / mu.path
+            original = target.read_text()
+            target.write_text(original.replace(mu.old, mu.new))
+            try:
+                code = run_tests(copy, mu.tests)
+            finally:
+                target.write_text(original)
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            print(f"{status}: {mu.name}")
+            if code != 1:
+                not_killed.append(mu.name)
+    print(f"{len(mutants) - len(not_killed)} of {len(mutants)} mutants killed")
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -17,7 +18,7 @@ from jumpfa.analysis import (
 from jumpfa.constructions import finite_gjfa, reverse_gjfa, union_gjfa
 from jumpfa.core import Gjfa, Rule, degree, word
 from jumpfa.corpus import ab_star, corpus_automata, corpus_get, dyck_balance, sigma_star_gjfa
-from jumpfa.langops import LangSet, dyck_bounded, langset
+from jumpfa.langops import LangSet, dyck_bounded, langset, perm_closure
 from jumpfa.semantics import enumerate_language, jump_accepts
 
 THM1 = corpus_get("thm1_m").value
@@ -247,3 +248,53 @@ def test_jfa_permutation_check_random_automata():
     rng = random.Random(2024)
     for _ in range(5):
         assert jfa_permutation_check(random_jfa(rng), 6)
+
+
+def _permutation_check_plain(m, language):
+    """The brute-force check: language against perm_closure of the NFA's bounded language."""
+    regular = LangSet(gjfa_as_nfa(m).enumerate_bounded(language.bound), language.bound)
+    return language == perm_closure(regular)
+
+
+def test_jfa_permutation_check_matches_perm_closure(monkeypatch):
+    # seeded differential against the brute-force check, on each language and
+    # on the language with one word dropped or one word of another vector added
+    rng = random.Random(1980)
+    machines = [random_jfa(rng) for _ in range(30)]
+    assert any(not r.label for m in machines for r in m.rules)
+    verdicts = set()
+    for m in machines:
+        for n in range(7):
+            language = enumerate_language(m, n)
+            variants = [language]
+            if language.words:
+                variants.append(LangSet(language.words - {rng.choice(sorted(language.words))}, n))
+            outside = sorted(set(itertools.product("ab", repeat=n)) - language.words)
+            if outside:
+                variants.append(LangSet(language.words | {rng.choice(outside)}, n))
+            for variant in variants:
+                monkeypatch.setattr(analysis, "enumerate_language", lambda m, n, variant=variant: variant)
+                verdict = jfa_permutation_check(m, n)
+                assert verdict == _permutation_check_plain(m, variant), (m, n, variant)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_jfa_permutation_check_false_on_a_vector_one_side_lacks(monkeypatch):
+    m = corpus_get("sigma_star_ab").value
+    language = enumerate_language(m, 3).words
+    # the jumping side lacks the vector of a.b
+    lacking = LangSet(language - {word("a.b"), word("b.a")}, 3)
+    monkeypatch.setattr(analysis, "enumerate_language", lambda m, n: lacking)
+    assert jfa_permutation_check(m, 3) is False
+    # the jumping side has a vector that the NFA's words lack
+    language = enumerate_language(EQUAL_COUNTS, 3).words
+    monkeypatch.setattr(analysis, "enumerate_language", lambda m, n: LangSet(language | {word("a")}, n))
+    assert jfa_permutation_check(EQUAL_COUNTS, 3) is False
+
+
+def test_jfa_permutation_check_false_on_a_class_one_word_short(monkeypatch):
+    # every vector is there, but the class of (1, 1, 1) has 5 of its 6 words
+    language = enumerate_language(EQUAL_COUNTS, 3).words
+    monkeypatch.setattr(analysis, "enumerate_language", lambda m, n: LangSet(language - {word("c.b.a")}, n))
+    assert jfa_permutation_check(EQUAL_COUNTS, 3) is False

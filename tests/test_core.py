@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from jumpfa import semantics
 from jumpfa.analysis import EquivReport, UcReport
 from jumpfa.core import (
     Gjfa,
@@ -12,13 +13,14 @@ from jumpfa.core import (
     Rule,
     degree,
     is_jfa,
+    search,
     validate,
     word,
     word_str,
 )
 from jumpfa.corpus import CorpusEntry, corpus_get
 from jumpfa.langops import Homomorphism
-from jumpfa.semantics import AcceptanceWitness
+from jumpfa.semantics import AcceptanceWitness, acceptance_witness, jump_accepts
 
 EQUAL_COUNTS = corpus_get("equal_counts_jfa").value
 THM1 = corpus_get("thm1_m").value
@@ -135,10 +137,21 @@ def _load_bench_spans():
     return spans
 
 
-def test_cached_forms_are_built_once():
+def test_cached_forms_are_built_once(monkeypatch):
     m, nfa = gjfa_from(list), nfa_from(list)
     assert m.coded is m.coded
     assert nfa.delta is nfa.delta
+    # every deletion search stops on the code's one goal set
+    assert m.coded.goals == {("r", "")}
+    stops = []
+
+    def recording(starts, successors, stop=None):
+        stops.append(stop)
+        return search(starts, successors, stop)
+
+    monkeypatch.setattr(semantics, "search", recording)
+    assert jump_accepts(m, ("a",)) and acceptance_witness(m, ("a",)) and not jump_accepts(m, ("a", "a"))
+    assert len(stops) == 2 and all(stop.__self__ is m.coded.goals for stop in stops)
     # bench/spans.py times these by rebinding them on their module or on the
     # class, so a moved or renamed one breaks the traced benchmark run
     spans = _load_bench_spans()

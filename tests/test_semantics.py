@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from jumpfa import semantics
+from jumpfa import core, semantics
 from jumpfa.core import Gjfa, Rule, degree, search, word
 from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.insertion_systems import gcis_enumerate, gcis_from_gjfa, rcg_enumerate, rcg_from_gcis
@@ -311,6 +311,13 @@ def test_length_pruned_jump_matches_plain_search():
                 assert (witness is not None) == jump_accepts(m, w) == _plain_jump(m, w), (m, w)
                 if witness is not None:
                     _assert_replays(m, witness)
+            # one symbol outside the code, at every position: rejected whether
+            # or not the initial state has the length
+            for rest in itertools.product("ab", repeat=max(n - 1, 0)):
+                for i in range(n):
+                    w = rest[:i] + ("x",) + rest[i:]
+                    assert not jump_accepts(m, w), (m, w)
+                    assert acceptance_witness(m, w) is None, (m, w)
 
 
 def test_parikh_generation_and_length_check_node_counts(search_counter):
@@ -337,3 +344,35 @@ def test_word_outside_the_code_is_rejected_without_search(monkeypatch):
     assert acceptance_witness(THM1, word("a.x")) is None
     assert not jump_accepts(THM1, word("x"))
     assert not generate_accepts(THM1, word("abar.x.a"))
+
+
+def test_wrong_length_is_rejected_before_coding(monkeypatch):
+    assert EQUAL_COUNTS.coded  # built once per automaton, before the patches below
+
+    def fail(*args):
+        raise AssertionError("called on a word of the wrong length")
+
+    monkeypatch.setattr(core.Code, "encode", fail)
+    monkeypatch.setattr(semantics, "search", fail)
+    # length 19 is not a multiple of 3, so no accepting path has it
+    long_word = ("a", "b", "c") * 6 + ("a",)
+    assert not jump_accepts(EQUAL_COUNTS, long_word)
+    assert not jump_accepts(EQUAL_COUNTS, iter(long_word))
+    assert acceptance_witness(EQUAL_COUNTS, long_word) is None
+    # length 2 and a symbol outside the alphabet
+    assert not jump_accepts(EQUAL_COUNTS, ("a", "x"))
+
+
+def test_boolean_membership_builds_no_witness(monkeypatch):
+    accepted = [(m, w) for _, m in corpus_automata() for w in enumerate_language(m, 6)]
+    witnesses = [acceptance_witness(m, w) for m, w in accepted]
+
+    def fail(*args):
+        raise AssertionError("a boolean query built a witness")
+
+    monkeypatch.setattr(semantics, "AcceptanceWitness", fail)
+    assert all(jump_accepts(m, w) for m, w in accepted)
+    monkeypatch.undo()
+    for (m, w), witness in zip(accepted, witnesses):
+        assert witness.word == w
+        _assert_replays(m, witness)
