@@ -52,8 +52,8 @@ def fresh_state(existing: Iterable[str]) -> str:
 def search(starts, successors, stop=None):
     """Breadth-first search over hashable nodes; returns (parents, found).
 
-    ``successors(node)`` yields (move, next) pairs. ``parents`` maps each
-    reached node to (previous node, move), or to None for a start. When
+    ``successors(node)`` yields the next nodes. ``parents`` maps each reached
+    node to the node it was first reached from, or to None for a start. When
     ``stop`` is given, the search ends at the first dequeued node it accepts,
     returned as ``found``; otherwise, or when no node is accepted, ``found``
     is None and ``parents`` holds every reachable node.
@@ -64,9 +64,9 @@ def search(starts, successors, stop=None):
         node = queue.popleft()
         if stop is not None and stop(node):
             return parents, node
-        for move, nxt in successors(node):
+        for nxt in successors(node):
             if nxt not in parents:
-                parents[nxt] = (node, move)
+                parents[nxt] = node
                 queue.append(nxt)
     return parents, None
 
@@ -117,57 +117,63 @@ class Code:
         return tuple([self.symbols[ord(c)] for c in u])
 
 
-def insertion_closure(edges, starts, max_len: int) -> tuple[dict, Code]:
-    """The search's parent map over (node, coded word) pairs reached from the starts, and the code.
+def insert_positions(w: str, v: str):
+    """The positions of w to insert v at, except those that repeat the word of the position before:
+    an empty v gives one word everywhere, and a run of one symbol c the same word after a c as before it."""
+    if not v:
+        return (0,)
+    if v.count(v[0]) < len(v):
+        return range(len(w) + 1)
+    return [i for i in range(len(w) + 1) if not i or w[i - 1] != v[0]]
+
+
+def insertion_closure(edges, starts, max_len: int, ends) -> list[Word]:
+    """The distinct words that the insertion closure from the starts reaches at a node in ends, decoded.
 
     ``starts`` is a list of (node, word) pairs. Each (src, rule, dst) edge
     applies rule, a (left, ins, right) triple of words, to a word at src: it
     inserts ins between an occurrence of left and right and moves to dst. A word
     longer than max_len is never built, and a longer start is dropped. The
-    symbols of the starts and rules are coded once, so a rule with contexts
-    inserts at each occurrence of the coded left + right. A context-free rule
-    skips the positions that repeat the word of the position before: an
-    empty ins gives the same word everywhere, and an ins made of one repeated
-    symbol c gives the same word just after a c as just before it. Callers
-    decode only the words they keep.
+    symbols of the starts and rules are coded once (:class:`Code`), so a rule
+    with contexts inserts at each occurrence of the coded left + right, and a
+    context-free rule at :func:`insert_positions`. Only the kept words are
+    decoded, after the search map is freed.
     """
-    edges = [(src, rule, *rule, dst) for src, rule, dst in edges]
-    code = Code(chain(*(w for _, w in starts), *(left + ins + right for _, _, left, ins, right, _ in edges)))
+    edges = [(src, *rule, dst) for src, rule, dst in edges]
+    code = Code(chain(*(w for _, w in starts), *(left + ins + right for _, left, ins, right, _ in edges)))
     by_src = multimap(
-        (src, (rule, code.encode(left + right), len(left), code.encode(ins), dst))
-        for src, rule, left, ins, right, dst in edges
+        (src, (code.encode(left + right), len(left), code.encode(ins), dst))
+        for src, left, ins, right, dst in edges
     )
 
     def successors(node):
         src, w = node
         room = max_len - len(w)
-        for rule, context, cut, v, dst in by_src.get(src, ()):
+        for context, cut, v, dst in by_src.get(src, ()):
             if len(v) > room:
                 continue
             if context:
                 pos = w.find(context)
                 while pos >= 0:
                     i = pos + cut
-                    yield rule, (dst, w[:i] + v + w[i:])
+                    yield dst, w[:i] + v + w[i:]
                     pos = w.find(context, pos + 1)
             else:
-                run = v[0] if v and v.count(v[0]) == len(v) else None
-                for i in range(len(w) + 1 if v else 1):
-                    if i and w[i - 1] == run:
-                        continue
-                    yield rule, (dst, w[:i] + v + w[i:])
+                for i in insert_positions(w, v):
+                    yield dst, w[:i] + v + w[i:]
 
-    parents, _ = search([(node, code.encode(w)) for node, w in starts if len(w) <= max_len], successors)
-    return parents, code
+    starts = [(node, code.encode(w)) for node, w in starts if len(w) <= max_len]
+    kept = {u for node, u in search(starts, successors)[0] if node in ends}  # the map is freed here
+    return list(map(code.decode, kept))
 
 
 class Coded(Code):
-    """An automaton's code; its rules paired with coded labels, grouped by source and by
-    target state, and its accepting configurations (final state, empty word)."""
+    """An automaton's code; its rules in sorted order paired with coded labels, grouped by source
+    and by target state, and its accepting configurations (final state, empty word)."""
 
     def __init__(self, m: Gjfa):
         super().__init__(m.alphabet.union(*(r.label for r in m.rules)))
-        pairs = [(r, self.encode(r.label)) for r in m.rules]
+        pairs = [(r, self.encode(r.label)) for r in sorted(m.rules)]
         self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in pairs)
         self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in pairs)
         self.jfa = is_jfa(m)  # every label has length at most 1
@@ -286,7 +292,7 @@ class Nfa(namedtuple("Nfa", "states alphabet transitions initial finals")):
 
     def eps_closure(self, states: Iterable[str]) -> frozenset[str]:
         delta = self.delta
-        parents, _ = search(states, lambda q: ((None, dst) for dst in delta.get((q, None), ())))
+        parents, _ = search(states, lambda q: delta.get((q, None), ()))
         return frozenset(parents)
 
     def step(self, states: frozenset[str], token: str) -> frozenset[str]:
@@ -311,7 +317,7 @@ class Nfa(namedtuple("Nfa", "states alphabet transitions initial finals")):
                 for tok in alphabet:
                     nstates = self.step(states, tok)
                     if nstates:
-                        yield tok, (nstates, w + (tok,))
+                        yield nstates, w + (tok,)
 
         parents, _ = search([(self.eps_closure({self.initial}), ())], successors)
         return {w for states, w in parents if states & self.finals}

@@ -65,8 +65,7 @@ def apply_rule(rule: InsRule, w: Word) -> set[Word]:
 def ins_enumerate(sys: InsSystem, max_len: int) -> LangSet:
     """Closure of the axioms under the rules, truncated to max_len."""
     edges = [("", rule, "") for rule in sys.rules]
-    parents, code = insertion_closure(edges, [("", w) for w in sys.axioms.words], max_len)
-    return LangSet((code.decode(u) for _, u in parents), max_len)
+    return LangSet(insertion_closure(edges, [("", w) for w in sys.axioms.words], max_len, {""}), max_len)
 
 
 class GcInsSystem(namedtuple("GcInsSystem", "components edges axioms alphabet initial final")):
@@ -94,8 +93,8 @@ class GcInsSystem(namedtuple("GcInsSystem", "components edges axioms alphabet in
 
 def gcis_enumerate(g: GcInsSystem, max_len: int) -> LangSet:
     """Words of length <= max_len reachable at the final component."""
-    parents, code = insertion_closure(g.edges, [(g.initial, w) for w in g.axioms.words], max_len)
-    return LangSet((code.decode(u) for comp, u in parents if comp == g.final), max_len)
+    starts = [(g.initial, w) for w in g.axioms.words]
+    return LangSet(insertion_closure(g.edges, starts, max_len, {g.final}), max_len)
 
 
 def gcis_from_gjfa(m: Gjfa) -> GcInsSystem:
@@ -144,8 +143,7 @@ def _control_edges(r: RcGrammar) -> set[tuple[str, InsRule, str]]:
 def rcg_enumerate(r: RcGrammar, max_len: int) -> LangSet:
     """Words derivable along a rule-index sequence the control NFA accepts."""
     starts = [(r.control.initial, w) for w in r.axioms.words]
-    parents, code = insertion_closure(_control_edges(r), starts, max_len)
-    return LangSet((code.decode(u) for state, u in parents if state in r.control.finals), max_len)
+    return LangSet(insertion_closure(_control_edges(r), starts, max_len, r.control.finals), max_len)
 
 
 def rcg_from_gcis(g: GcInsSystem) -> RcGrammar:

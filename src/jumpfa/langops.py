@@ -76,8 +76,7 @@ def insert_star_bounded(l: LangSet, k: LangSet, max_len: int) -> LangSet:
     (:func:`core.insertion_closure`).
     """
     edges = [("", ((), v, ()), "") for v in k.words]
-    parents, code = insertion_closure(edges, [("", w) for w in l.words], max_len)
-    return LangSet((code.decode(u) for _, u in parents), max_len)
+    return LangSet(insertion_closure(edges, [("", w) for w in l.words], max_len, {""}), max_len)
 
 
 def reverse_set(l: LangSet) -> LangSet:

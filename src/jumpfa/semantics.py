@@ -18,7 +18,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Rule, Word, insertion_closure, multimap, search
+from jumpfa.core import Gjfa, Rule, Word, insert_positions, insertion_closure, multimap, search
 from jumpfa.langops import LangSet
 
 
@@ -41,7 +41,7 @@ class AcceptanceWitness(NamedTuple):
 
 
 def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] = None):
-    """Successors of the deletion search on coded words; a move is (rule, position).
+    """Successors of the deletion search on coded words: each rule's label deleted at each occurrence.
 
     With ``masks`` (``Gjfa.length_masks``), a rule (q, v, r) is tried only
     when the remainder's length is in r's set.
@@ -56,7 +56,7 @@ def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] 
                 continue
             pos = w.find(v)
             while pos >= 0:
-                yield (rule, pos), (rule.dst, w[:pos] + w[pos + len(v) :])
+                yield rule.dst, w[:pos] + w[pos + len(v) :]
                 if leftmost or not v:
                     break
                 pos = w.find(v, pos + 1)
@@ -90,6 +90,8 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     set of the rule's target state. A JFA accepts by the Parikh vector of
     the word alone, so there each label is deleted at its leftmost
     occurrence only, and a remainder stands for its vector.
+    Each step (q, u) -> (r, rest) is the move the search took first: the first
+    rule of ``coded.by_src[q]`` into r, at its leftmost position, that deletes u to rest.
     """
     w = tuple(w)
     found = _accepting_search(m, w)
@@ -98,8 +100,10 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     parents, node = found
     steps: list[tuple[Rule, int]] = []
     while parents[node] is not None:
-        node, step = parents[node]
-        steps.append(step)
+        (q, u), (r, rest) = parents[node], node
+        moves = ((rule, v, i) for rule, v in m.coded.by_src[q] if rule.dst == r for i in range(len(rest) + 1))
+        steps.append(next((rule, i) for rule, v, i in moves if u == rest[:i] + v + rest[i:]))
+        node = q, u
     steps.reverse()
     return AcceptanceWitness(w, tuple(steps))
 
@@ -121,13 +125,12 @@ def _embeds(v: str, t: str, lo: int, hi: int) -> bool:
 def _insertions(m: Gjfa, target: str):
     """Successors of the backward walk toward target on coded words: its subsequences only.
 
-    From a rule (q, v, r) the walk moves r -> q, inserting v at a position
-    that keeps a subsequence of target. Positions that repeat the word of the
-    position before are skipped, as in :func:`core.insertion_closure`, the
-    unpruned walk. With u[:i] in a shortest prefix target[:lo[i]] and u[i:]
-    in a shortest suffix target[hi[i]:], v at i keeps one iff v embeds in
-    target[lo[i]:hi[i]]. On a JFA the walk goes by Parikh vectors instead
-    (:func:`_parikh_insertions`).
+    From a rule (q, v, r) the walk moves r -> q, inserting v at each of
+    :func:`core.insert_positions` (as :func:`core.insertion_closure`, the
+    unpruned walk, does) that keeps a subsequence of target. With u[:i] in a
+    shortest prefix target[:lo[i]] and u[i:] in a shortest suffix
+    target[hi[i]:], v at i keeps one iff v embeds in target[lo[i]:hi[i]].
+    On a JFA the walk goes by Parikh vectors instead (:func:`_parikh_insertions`).
     """
     by_dst = m.coded.by_dst
     if m.coded.jfa:
@@ -141,13 +144,9 @@ def _insertions(m: Gjfa, target: str):
         hi = [*accumulate(u[::-1], lambda j, c: target.rfind(c, 0, j), initial=n)][::-1]
         for rule, v in by_dst.get(state, ()):
             if len(v) <= room:
-                src = rule.src
-                run = v[0] if v and v.count(v[0]) == len(v) else None
-                for i in range(len(u) + 1 if v else 1):
-                    if i and u[i - 1] == run:
-                        continue
+                for i in insert_positions(u, v):
                     if _embeds(v, target, lo[i], hi[i]):
-                        yield rule, (src, u[:i] + v + u[i:])
+                        yield rule.src, u[:i] + v + u[i:]
 
     return successors
 
@@ -168,13 +167,13 @@ def _parikh_insertions(by_dst, target: str):
         lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
         for rule, v in by_dst.get(state, ()):
             if not v:
-                yield rule, (rule.src, u)
+                yield rule.src, u
                 continue
             at = occurrences.get(v, ())
             k = u.count(v)
             if k < len(at):
                 i = bisect_right(lo, at[k]) - 1
-                yield rule, (rule.src, u[:i] + v + u[i:])
+                yield rule.src, u[:i] + v + u[i:]
 
     return successors
 
@@ -200,7 +199,4 @@ def enumerate_language(m: Gjfa, max_len: int) -> LangSet:
     (q, v, r) inserts v on the edge r -> q) from the empty word at each final state.
     """
     edges = [(r.dst, ((), r.label, ()), r.src) for r in m.rules]
-    parents, code = insertion_closure(edges, [(f, ()) for f in m.finals], max_len)
-    coded = [u for state, u in parents if state == m.initial]
-    del parents  # free the search map before decoding
-    return LangSet(map(code.decode, coded), max_len)
+    return LangSet(insertion_closure(edges, [(f, ()) for f in m.finals], max_len, {m.initial}), max_len)

@@ -10,8 +10,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 def search_counter(monkeypatch):
     """The parent map of every ``semantics.search`` and ``core.search`` call, in call order.
 
-    ``core.search`` runs every insertion closure (``core.insertion_closure``)
-    and the ``Nfa`` searches.
+    A map takes each reached node to the node it was first reached from, or
+    to None for a start. ``core.search`` runs every insertion closure and the
+    ``Nfa`` searches. ``core.insertion_closure`` drops its map, whose words
+    are coded, before it returns the decoded words, so this list is the only
+    way to see it.
     """
     from jumpfa import core, semantics
 

@@ -65,6 +65,97 @@ MUTANTS = [
         "count *= comb(total + 1, k)",
         ("tests/test_analysis.py",),
     ),
+    Mutant(
+        "non-overlapping find",
+        "core.py",
+        "pos = w.find(context, pos + 1)",
+        "pos = w.find(context, pos + len(context))",
+        ("tests/test_insertion_systems.py",),
+    ),
+    Mutant(
+        "eps-rules counted as length 1 in length_masks",
+        "core.py",
+        "new = old | (masks[dst] << len(v)) & full",
+        "new = old | (masks[dst] << max(len(v), 1)) & full",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "masks not regrown",
+        "core.py",
+        "if n > bound:",
+        "if bound < 0:",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "Parikh insertion one place left",
+        "semantics.py",
+        "i = bisect_right(lo, at[k]) - 1",
+        "i = bisect_right(lo, at[k]) - 2",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "Parikh eps-rules dropped",
+        "semantics.py",
+        "if not v:\n                yield rule.src, u\n",
+        "if not v:\n",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "run skip applied to every label",
+        "core.py",
+        "    if v.count(v[0]) < len(v):\n        return range(len(w) + 1)\n",
+        "",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "run skip dropped",
+        "core.py",
+        "return [i for i in range(len(w) + 1) if not i or w[i - 1] != v[0]]",
+        "return range(len(w) + 1)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "subsequence window hi[i] - 1",
+        "semantics.py",
+        "_embeds(v, target, lo[i], hi[i])",
+        "_embeds(v, target, lo[i], hi[i] - 1)",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "certified set with a reversed factor",
+        "analysis.py",
+        "passed.update(rest[:cut] + v + rest[cut:] for",
+        "passed.update(rest[:cut] + v[::-1] + rest[cut:] for",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "uc_condition dedup dropped",
+        "analysis.py",
+        "ok = answers.get(u)",
+        "ok = None",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "witness rebuild ignoring rule.dst",
+        "semantics.py",
+        "for rule, v in m.coded.by_src[q] if rule.dst == r for",
+        "for rule, v in m.coded.by_src[q] for",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "rules tried in hash order",
+        "core.py",
+        "for r in sorted(m.rules)]",
+        "for r in m.rules]",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "ends filter replaced by True",
+        "core.py",
+        "if node in ends}",
+        "if True}",
+        ("tests/test_insertion_systems.py",),
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import itertools
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from jumpfa.core import (
     Nfa,
     Rule,
     degree,
+    insert_positions,
     is_jfa,
     search,
     validate,
@@ -160,6 +162,18 @@ def test_cached_forms_are_built_once(monkeypatch):
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"{mod}.{name}"
     assert set(spans.NFA_METHODS) <= Nfa.__dict__.keys()
+
+
+@pytest.mark.parametrize("v", ["", "a", "aa", "ab", "ba"])
+def test_insert_positions_keep_every_word_once(v):
+    # a breadth-first closure drops repeated words anyway, so only this test
+    # sees a position rule that keeps too many positions
+    for n in range(6):
+        for w in map("".join, itertools.product("ab", repeat=n)):
+            kept = [w[:i] + v + w[i:] for i in insert_positions(w, v)]
+            assert set(kept) == {w[:i] + v + w[i:] for i in range(n + 1)}, (w, v)
+            if len(set(v)) <= 1:
+                assert len(kept) == len(set(kept)), (w, v)
 
 
 def test_homomorphism_copies_its_mapping_and_hashes_by_items():

@@ -1,10 +1,11 @@
 import random
+from itertools import chain
 
 import pytest
 from test_core import COLLECTIONS
 
 from jumpfa.analysis import bounded_equiv
-from jumpfa.core import Gjfa, Rule, insertion_closure, multimap, search, word
+from jumpfa.core import Code, Gjfa, Rule, insertion_closure, multimap, search, word
 from jumpfa.corpus import corpus_automata, corpus_get
 from jumpfa.insertion_systems import (
     GcInsSystem,
@@ -244,7 +245,7 @@ def _plain_derivations(edges, starts, max_len):
         for rule, dst in by_src.get(src, ()):
             for nxt in apply_rule(rule, w):
                 if len(nxt) <= max_len:
-                    yield rule, (dst, nxt)
+                    yield dst, nxt
 
     parents, _ = search([(node, w) for node, w in starts if len(w) <= max_len], successors)
     return set(parents)
@@ -311,11 +312,13 @@ def test_coded_derivations_match_apply_rule_search(search_counter):
         for system, edges, starts, finals in _random_systems(rng):
             max_len = rng.randint(3, 6)
             plain = _plain_derivations(edges, starts, max_len)
-            parents, code = insertion_closure(edges, starts, max_len)
-            assert search_counter[-1] is parents
+            words = insertion_closure(edges, starts, max_len, finals)
+            parents = search_counter[-1]
+            code = Code(chain(*(w for _, w in starts), *(chain(*rule) for _, rule, _ in edges)))
             assert len(parents) == len(plain)
             assert {(node, code.decode(u)) for node, u in parents} == plain, system
             language = {w for node, w in plain if node in finals}
+            assert len(words) == len(language) and set(words) == language, system
             assert enumerate_system[type(system)](system, max_len) == language, system
             seen |= {"context" for _, (left, _, right), _ in edges if left or right}
             seen |= {"empty insert" for _, (_, ins, _), _ in edges if not ins}

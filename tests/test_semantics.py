@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from jumpfa import core, semantics
 from jumpfa.core import Gjfa, Rule, degree, search, word
@@ -21,7 +25,7 @@ EQUAL_COUNTS = corpus_get("equal_counts_jfa").value
 def _one_step(m, state, w):
     """The (state, word) pairs one deletion step from (state, w), decoded."""
     coded = m.coded
-    return {(q, coded.decode(u)) for _, (q, u) in _deletions(m)((state, coded.encode(w)))}
+    return {(q, coded.decode(u)) for q, u in _deletions(m)((state, coded.encode(w)))}
 
 
 def test_delete_successors_two_occurrences():
@@ -130,6 +134,44 @@ def test_witness_replay():
         assert witness.replay() == w
         for rule, _pos in witness.steps:
             assert rule in EQUAL_COUNTS.rules
+
+
+def test_witness_steps_follow_an_accepting_path():
+    for _, m in corpus_automata():
+        for n in range(7):
+            for w in itertools.product(sorted(m.alphabet), repeat=n):
+                witness = acceptance_witness(m, w)
+                if witness is not None:
+                    assert witness.replay() == w
+                    states = [m.initial] + [rule.dst for rule, _ in witness.steps]
+                    assert [rule.src for rule, _ in witness.steps] == states[:-1], (m, w)
+                    assert states[-1] in m.finals
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    # rules are a frozenset; the search tries them in sorted order, so the
+    # first deletion found, and hence each witness step, is the same in every run
+    probe = (
+        "import itertools\n"
+        "from jumpfa.corpus import corpus_automata\n"
+        "from jumpfa.semantics import acceptance_witness\n"
+        "for name, m in corpus_automata():\n"
+        "    for n in range(7):\n"
+        "        for w in itertools.product(sorted(m.alphabet), repeat=n):\n"
+        "            print(name, acceptance_witness(m, w))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in "01"
+    }
+    assert len(outputs) == 1 and outputs.pop().count("steps=") == 340
 
 
 def test_witness_empty_accept():
