@@ -167,17 +167,65 @@ def insertion_closure(edges, starts, max_len: int, ends) -> list[Word]:
     return list(map(code.decode, kept))
 
 
+# A Parikh vector packs one FIELD-bit count per symbol of a code, symbol i in
+# bits FIELD * i and up. Counts stay below 2 ** (FIELD - 1): the top bit of a
+# field is the guard of the box test in label_sums.
+FIELD = 32
+
+
+def label_sums(starts, edges, fence: int, guards: int) -> dict:
+    """Per node, the sums of the weights along the paths from a start to it that stay in a box.
+
+    ``edges`` maps a node to its (next node, weight) pairs. Weights are
+    Parikh vectors packed as by :meth:`Coded.vector`, or lengths (a vector
+    of one field). A sum x is in the box iff ``(fence - x) & guards ==
+    guards``, where ``guards`` has the top bit of each field set and
+    ``fence`` is the box's counts with the guards. Weights are not negative,
+    so a sum that leaves the box never returns, and the sets are exact inside
+    it. The fixpoint passes on only the sums new at a node. A node that no
+    path reaches is absent.
+    """
+    sums = {q: {0} for q in starts}
+    work = {q: {0} for q in starts}
+    while work:
+        q, delta = work.popitem()
+        for nxt, weight in edges.get(q, ()):
+            limit = fence - weight  # x + weight is in the box iff x is under this limit
+            new = {x + weight for x in delta if (limit - x) & guards == guards}
+            new.difference_update(sums.get(nxt, ()))
+            if new:
+                sums.setdefault(nxt, set()).update(new)
+                work.setdefault(nxt, set()).update(new)
+    return sums
+
+
 class Coded(Code):
-    """An automaton's code; its rules in sorted order paired with coded labels, grouped by source
-    and by target state, and its accepting configurations (final state, empty word)."""
+    """An automaton's code; its rules in sorted order paired with coded labels, also grouped by
+    source and by target state, its accepting configurations (final state, empty word), and the
+    packed Parikh vector (:meth:`vector`) of each symbol."""
 
     def __init__(self, m: Gjfa):
         super().__init__(m.alphabet.union(*(r.label for r in m.rules)))
-        pairs = [(r, self.encode(r.label)) for r in sorted(m.rules)]
-        self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in pairs)
-        self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in pairs)
+        self.rules = [(r, self.encode(r.label)) for r in sorted(m.rules)]
+        self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in self.rules)
+        self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in self.rules)
         self.jfa = is_jfa(m)  # every label has length at most 1
         self.goals = frozenset((f, "") for f in m.finals)
+        self.units = {c: 1 << FIELD * i for i, c in enumerate(self.chars.values())}
+        self.guards = sum(unit << FIELD - 1 for unit in self.units.values())
+
+    def vector(self, u: str) -> int:
+        """The Parikh vector of the coded word u, packed: the count of symbol i in bits FIELD * i and up."""
+        return sum(map(self.units.__getitem__, u))
+
+    def regrown(self, fence: int, vector: int) -> int:
+        """The fence of a box that holds vector: each count vector exceeds grows to max(count, 2 * old)."""
+        top = (1 << FIELD - 1) - 1
+        box = 0
+        for i in range(0, FIELD * len(self.units), FIELD):
+            old, count = fence >> i & top, vector >> i & top
+            box |= (max(count, 2 * old) if count > old else old) << i
+        return box | self.guards
 
 
 class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
@@ -216,20 +264,46 @@ class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
         bound, masks = self.__dict__.get("_length_masks", (-1, None))
         if n > bound:
             bound = max(n, 2 * bound)
-            full = (2 << bound) - 1
-            masks = dict.fromkeys(self.finals, 1)
-            by_dst = self.coded.by_dst
-            work = list(masks)
-            while work:
-                dst = work.pop()
-                for rule, v in by_dst.get(dst, ()):
-                    old = masks.get(rule.src, 0)
-                    new = old | (masks[dst] << len(v)) & full
-                    if new != old:
-                        masks[rule.src] = new
-                        work.append(rule.src)
+            guard = 1 << FIELD - 1  # a length is a vector of one field
+            sums = label_sums(self.finals, self._rule_graph(True, len), bound | guard, guard)
+            masks = {q: sum(1 << length for length in lengths) for q, lengths in sums.items()}
             self.__dict__["_length_masks"] = (bound, masks)
         return masks
+
+    def final_vectors(self, vector: int) -> dict[str, set[int]]:
+        """Per state q, the Parikh vectors (:meth:`Coded.vector`) of the label sums of the paths
+        from q to a final state; exact for every vector in a box that holds the given one.
+
+        The deletion side: a word is in L(M) only if the initial state's set
+        holds its vector, and on a JFA that is the whole test (Meduna and
+        Zemek: L(M) is the permutation closure of M read as an automaton).
+        """
+        return self._vectors("_final_vectors", vector, True)
+
+    def initial_vectors(self, vector: int) -> dict[str, set[int]]:
+        """Per state q, the Parikh vectors of the label sums of the paths from the initial
+        state to q; exact for every vector in a box that holds the given one. The generation
+        side's test, as :meth:`final_vectors` is the deletion side's."""
+        return self._vectors("_initial_vectors", vector, False)
+
+    def _vectors(self, key: str, vector: int, to_final: bool) -> dict[str, set[int]]:
+        """The :func:`label_sums` of the rule graph with Parikh vector weights, built on first use,
+        and rebuilt in a box grown by :meth:`Coded.regrown` when a vector outside the box asks."""
+        coded = self.coded
+        fence, sums = self.__dict__.get(key, (coded.guards, None))
+        if sums is None or (fence - vector) & coded.guards != coded.guards:
+            fence = coded.regrown(fence, vector)
+            starts = self.finals if to_final else [self.initial]
+            sums = label_sums(starts, self._rule_graph(to_final, coded.vector), fence, coded.guards)
+            self.__dict__[key] = (fence, sums)
+        return sums
+
+    def _rule_graph(self, to_final: bool, weight) -> dict:
+        """Per state, its (next state, weight of the coded label) pairs: from each rule's target
+        to its source when to_final (the paths to a final state, walked back), else forward."""
+        if to_final:
+            return multimap((r.dst, (r.src, weight(v))) for r, v in self.coded.rules)
+        return multimap((r.src, (r.dst, weight(v))) for r, v in self.coded.rules)
 
 
 def validate(m: Gjfa) -> list[str]:

@@ -10,15 +10,20 @@ The tape-head position is not modeled: the head may move anywhere in each
 step, so a configuration is just (state, word). Searches run on words coded
 as ``str`` (``Gjfa.coded``, or the code of :func:`core.insertion_closure` for
 enumeration); the public functions take and return tuples.
+
+Before any search, each side tests the word's Parikh vector: the labels along
+an accepting path sum to it. The deletion side reads the sums of the paths to
+a final state (``Gjfa.final_vectors``), the generation side those of the paths
+from the initial state (``Gjfa.initial_vectors``), so neither side reads the
+other's structure. On a JFA the test is exact, and no search runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Rule, Word, insert_positions, insertion_closure, multimap, search
+from jumpfa.core import Gjfa, Rule, Word, insert_positions, insertion_closure, search
 from jumpfa.langops import LangSet
 
 
@@ -64,10 +69,12 @@ def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] 
     return successors
 
 
-def _accepting_search(m: Gjfa, w: Word):
-    """The search of :func:`acceptance_witness` on the tuple w: (parents, accepting node) or None.
+def _admitted(m: Gjfa, w: Word) -> Optional[tuple[str, dict[str, int]]]:
+    """(the coded w, the length masks) when the tuple w passes the tests without a search, else None.
 
-    The length test comes first, so a word of a length L(m) lacks is not coded.
+    The length test comes first, so a word of a length L(m) lacks is not
+    coded; then the code, then the Parikh vector against the initial state's
+    set of :meth:`Gjfa.final_vectors`.
     """
     n = len(w)
     masks = m.length_masks(n)
@@ -77,27 +84,37 @@ def _accepting_search(m: Gjfa, w: Word):
     u = coded.encode(w)
     if u is None:
         return None
-    parents, node = search([(m.initial, u)], _deletions(m, coded.jfa, masks), coded.goals.__contains__)
-    return None if node is None else (parents, node)
+    vector = coded.vector(u)
+    if vector not in m.final_vectors(vector).get(m.initial, ()):
+        return None
+    return u, masks
+
+
+def _accepting_search(m: Gjfa, u: str, masks: dict[str, int]):
+    """The deletion search from (initial, u): (parents, accepting node), the node None on rejection."""
+    coded = m.coded
+    return search([(m.initial, u)], _deletions(m, coded.jfa, masks), coded.goals.__contains__)
 
 
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     """Breadth-first deletion search; returns the replayable witness on acceptance.
 
     A word with a length that no path from the initial state to a final
-    state has, or with a symbol outside the code, is rejected at once. The
-    search tries a rule only when the remainder's length is in the length
-    set of the rule's target state. A JFA accepts by the Parikh vector of
-    the word alone, so there each label is deleted at its leftmost
-    occurrence only, and a remainder stands for its vector.
+    state has, with a symbol outside the code, or with a Parikh vector that
+    no such path's labels sum to, is rejected at once. The search tries a
+    rule only when the remainder's length is in the length set of the rule's
+    target state. On a JFA each label is deleted at its leftmost occurrence
+    only, as acceptance depends on the Parikh vector alone.
     Each step (q, u) -> (r, rest) is the move the search took first: the first
     rule of ``coded.by_src[q]`` into r, at its leftmost position, that deletes u to rest.
     """
     w = tuple(w)
-    found = _accepting_search(m, w)
-    if found is None:
+    admitted = _admitted(m, w)
+    if admitted is None:
         return None
-    parents, node = found
+    parents, node = _accepting_search(m, *admitted)
+    if node is None:
+        return None
     steps: list[tuple[Rule, int]] = []
     while parents[node] is not None:
         (q, u), (r, rest) = parents[node], node
@@ -109,8 +126,14 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
 
 
 def jump_accepts(m: Gjfa, w: Word) -> bool:
-    """Deletion-side acceptance: the search of :func:`acceptance_witness`, without the witness."""
-    return _accepting_search(m, tuple(w)) is not None
+    """Deletion-side acceptance: the tests and search of :func:`acceptance_witness`, without the witness.
+
+    On a JFA the Parikh vector test is exact, so no search runs.
+    """
+    admitted = _admitted(m, tuple(w))
+    if admitted is None:
+        return False
+    return m.coded.jfa or _accepting_search(m, *admitted)[1] is not None
 
 
 def _embeds(v: str, t: str, lo: int, hi: int) -> bool:
@@ -130,11 +153,8 @@ def _insertions(m: Gjfa, target: str):
     unpruned walk, does) that keeps a subsequence of target. With u[:i] in a
     shortest prefix target[:lo[i]] and u[i:] in a shortest suffix
     target[hi[i]:], v at i keeps one iff v embeds in target[lo[i]:hi[i]].
-    On a JFA the walk goes by Parikh vectors instead (:func:`_parikh_insertions`).
     """
     by_dst = m.coded.by_dst
-    if m.coded.jfa:
-        return _parikh_insertions(by_dst, target)
     n = len(target)
 
     def successors(node):
@@ -151,42 +171,25 @@ def _insertions(m: Gjfa, target: str):
     return successors
 
 
-def _parikh_insertions(by_dst, target: str):
-    """Successors of the backward walk of a JFA toward target: one word per Parikh vector.
-
-    A JFA accepts by the Parikh vector alone, so each node word is canonical:
-    target restricted to the first k_d occurrences of each symbol d. A label
-    c goes only where it gives the first k_c + 1 occurrences of c. The greedy
-    prefix embedding ``lo`` places each symbol of a canonical word at its own
-    occurrence, so c goes after the symbols placed before that occurrence.
-    """
-    occurrences = multimap((c, i) for i, c in enumerate(target))
-
-    def successors(node):
-        state, u = node
-        lo = [*accumulate(u, lambda j, c: target.find(c, j) + 1, initial=0)]
-        for rule, v in by_dst.get(state, ()):
-            if not v:
-                yield rule.src, u
-                continue
-            at = occurrences.get(v, ())
-            k = u.count(v)
-            if k < len(at):
-                i = bisect_right(lo, at[k]) - 1
-                yield rule.src, u[:i] + v + u[i:]
-
-    return successors
-
-
 def generate_accepts(m: Gjfa, w: Word) -> bool:
     """Generation-side acceptance: backward walk from final states.
 
-    Insertion only adds symbols, so the walk keeps only subsequences of the
-    target. Epsilon-labeled rules are cycle-cut by the visited set.
+    A word is rejected without a walk when no final state's set of
+    :meth:`Gjfa.initial_vectors` holds its Parikh vector, and on a JFA that
+    test is exact, so no walk runs. Insertion only adds symbols, so the walk
+    keeps only subsequences of the target. Epsilon-labeled rules are
+    cycle-cut by the visited set.
     """
-    u = m.coded.encode(w)
+    coded = m.coded
+    u = coded.encode(w)
     if u is None:
         return False
+    vector = coded.vector(u)
+    reached = m.initial_vectors(vector)
+    if not any(vector in reached.get(f, ()) for f in m.finals):
+        return False
+    if coded.jfa:
+        return True
     goal = (m.initial, u)
     _, found = search([(f, "") for f in m.finals], _insertions(m, u), goal.__eq__)
     return found is not None

@@ -75,8 +75,8 @@ MUTANTS = [
     Mutant(
         "eps-rules counted as length 1 in length_masks",
         "core.py",
-        "new = old | (masks[dst] << len(v)) & full",
-        "new = old | (masks[dst] << max(len(v), 1)) & full",
+        "self._rule_graph(True, len)",
+        "self._rule_graph(True, lambda v: max(len(v), 1))",
         ("tests/test_semantics.py",),
     ),
     Mutant(
@@ -87,17 +87,59 @@ MUTANTS = [
         ("tests/test_semantics.py",),
     ),
     Mutant(
-        "Parikh insertion one place left",
-        "semantics.py",
-        "i = bisect_right(lo, at[k]) - 1",
-        "i = bisect_right(lo, at[k]) - 2",
+        "Parikh vector counts every symbol as the first",
+        "core.py",
+        "self.units = {c: 1 << FIELD * i for",
+        "self.units = {c: 1 << 0 * i for",
         ("tests/test_semantics.py",),
     ),
     Mutant(
-        "Parikh eps-rules dropped",
+        "new label sums not passed on",
+        "core.py",
+        "work.setdefault(nxt, set()).update(new)",
+        "pass",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "eps-rules dropped from the label-sum fixpoint",
+        "core.py",
+        "for nxt, weight in edges.get(q, ()):",
+        "for nxt, weight in [e for e in edges.get(q, ()) if e[1]]:",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "vector sets not regrown",
+        "core.py",
+        "if sums is None or (fence - vector) & coded.guards != coded.guards:",
+        "if sums is None:",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "regrown box keeps the old count",
+        "core.py",
+        "max(count, 2 * old) if count > old",
+        "2 * old if count > old",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "generation reads the sets of the paths to a final state",
         "semantics.py",
-        "if not v:\n                yield rule.src, u\n",
-        "if not v:\n",
+        "reached = m.initial_vectors(vector)",
+        "reached = m.final_vectors(vector)",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "JFA shortcut taken on a GJFA (deletion side)",
+        "semantics.py",
+        "return m.coded.jfa or _accepting_search",
+        "return True or _accepting_search",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "JFA shortcut taken on a GJFA (generation side)",
+        "semantics.py",
+        "if coded.jfa:\n        return True\n",
+        "if True:\n        return True\n",
         ("tests/test_semantics.py",),
     ),
     Mutant(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -305,22 +306,29 @@ def test_fast_paths_bound_the_search(search_counter):
         (dyck, ("a",) * 10 + ("abar",) * 10, True),
         (THM1, word("abar.a.a.abar"), True),
         (THM1, word("abar.a.abar.a"), False),
-        (semidyck2, word("a1.a2.a2bar.a1bar.a2"), False),
-        (EQUAL_COUNTS, word("c.b.a.a.b"), False),
     ]
     for m, target, verdict in cases:
         search_counter.clear()
         assert generate_accepts(m, target) == verdict
         (parents,) = search_counter
         assert all(_is_subsequence(m.coded.decode(u), target) for _, u in parents)
-    search_counter.clear()
+    # two a2 and one a2bar, and two a, two b and one c: no accepting path has
+    # these Parikh vectors, so neither side searches
+    for m, target in [(semidyck2, word("a1.a2.a2bar.a1bar.a2")), (EQUAL_COUNTS, word("c.b.a.a.b"))]:
+        search_counter.clear()
+        assert not generate_accepts(m, target)
+        assert not jump_accepts(m, target)
+        assert search_counter == []
     # length 19 is not a multiple of 3, so no accepting path has it
     assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a",))
-    assert search_counter == []
-    # Parikh vector (8, 7, 6): at most 3 states times 9 * 8 * 7 vectors
+    # Parikh vector (8, 7, 6): the length 21 passes, the vector does not
     assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a", "a", "b"))
+    assert search_counter == []
+    # the vector (10, 10) is feasible; each remainder is a^k abar^k in state
+    # _g0, and the length masks let the eps-rules to q and r in only at k = 0
+    assert jump_accepts(dyck, ("a",) * 10 + ("abar",) * 10)
     (parents,) = search_counter
-    assert len(parents) <= 3 * 9 * 8 * 7
+    assert len(parents) <= 11 + 2
 
 
 def _mask_lengths(mask, n):
@@ -363,13 +371,104 @@ def test_length_pruned_jump_matches_plain_search():
 
 
 def test_parikh_generation_and_length_check_node_counts(search_counter):
-    # one node per Parikh vector (i, j) with i, j <= 4
+    # a JFA is decided by its Parikh vector sets, with no walk
     assert generate_accepts(corpus_get("sigma_star_ab").value, word("a.b") * 4)
+    assert search_counter == []
+    # a GJFA word with a feasible vector is walked: one node (_g0, a^k abar^k)
+    # per k <= 4, and r and q with the empty word
+    assert generate_accepts(corpus_get("dyck_gjfa").value, ("a",) * 4 + ("abar",) * 4)
     (parents,) = search_counter
-    assert len(parents) <= 25
+    assert len(parents) <= 5 + 2
     search_counter.clear()
     assert not jump_accepts(corpus_get("semidyck2_gjfa").value, word("a1.a1bar.a2"))
     assert search_counter == []
+
+
+def _counts(m, x):
+    """The per-symbol counts of a Parikh vector packed in m's code."""
+    top = (1 << core.FIELD - 1) - 1
+    return tuple(x >> core.FIELD * i & top for i in range(len(m.coded.symbols)))
+
+
+def _vector(m, w):
+    return m.coded.vector(m.coded.encode(w))
+
+
+def test_parikh_vectors_match_enumeration():
+    # each state's vector sets, in both directions, hold the Parikh vectors
+    # of the words of the re-rooted automaton inside the box
+    rng = random.Random(2018)
+    machines = [m for _, m in corpus_automata()] + [_random_gjfa(rng) for _ in range(20)]
+    assert any(not r.label for m in machines for r in m.rules)
+    n = 6
+    regrown = 0
+    for m in machines:
+        sides = [
+            ("_final_vectors", m.final_vectors, lambda q: Gjfa(m.states, m.alphabet, m.rules, q, m.finals)),
+            ("_initial_vectors", m.initial_vectors, lambda q: Gjfa(m.states, m.alphabet, m.rules, m.initial, {q})),
+        ]
+        for key, vectors, rooted in sides:
+            expected = {q: {_vector(m, w) for w in enumerate_language(rooted(q), n)} for q in m.states}
+            old = None
+            # random words of growing length ask growing boxes, so the regrowth runs
+            for length in range(n + 1):
+                asked = _vector(m, [rng.choice(m.coded.symbols) for _ in range(length)])
+                sets = vectors(asked)
+                fence = m.__dict__[key][0]
+                box = _counts(m, fence)
+                if old is not None:
+                    # only the counts the word exceeds grow, to max(count, 2 * old)
+                    grown = tuple(o if c <= o else max(c, 2 * o) for o, c in zip(old, _counts(m, asked)))
+                    assert box == grown, (m, key, old, asked)
+                    regrown += box != old
+                assert all(c <= b for c, b in zip(_counts(m, asked), box))
+                old = box
+                size = math.prod(b + 1 for b in box)
+                assert sum(map(len, sets.values())) <= len(m.states) * size
+                for q in m.states:
+                    got = sets.get(q, set())
+                    assert len(got) <= size
+                    assert all((fence - x) & m.coded.guards == m.coded.guards for x in got)
+                    # exact inside the box, for every vector the enumeration reaches
+                    inside = {x for x in expected[q] if all(c <= b for c, b in zip(_counts(m, x), box))}
+                    assert {x for x in got if sum(_counts(m, x)) <= n} == inside, (m, key, q, box)
+    assert regrown
+
+
+def test_each_side_reads_only_its_own_vector_sets(monkeypatch):
+    # the twin of the test below: the deletion side never reads the sets of
+    # the paths from the initial state, nor the generation side those of the
+    # paths to a final state
+    for patched, accepts in [("initial_vectors", jump_accepts), ("final_vectors", generate_accepts)]:
+        monkeypatch.setattr(Gjfa, patched, None)
+        for name, m in corpus_automata():
+            language = enumerate_language(m, 4)
+            for n in range(5):
+                for w in itertools.product(sorted(m.alphabet), repeat=n):
+                    assert accepts(m, w) == (w in language), (name, w)
+                    if accepts is jump_accepts:
+                        assert (acceptance_witness(m, w) is not None) == (w in language), (name, w)
+        monkeypatch.undo()
+
+
+def test_infeasible_vector_is_rejected_without_search(search_counter):
+    # every accepting path of this automaton deletes an even number of a's;
+    # the generation walk on (ab)^15 used to reach 964,001 nodes
+    m = Gjfa(
+        {"p", "q"},
+        {"a", "b"},
+        {Rule("p", word("a.b"), "q"), Rule("q", word("b.a"), "p"), Rule("q", word("b.b"), "q")},
+        "p",
+        {"p"},
+    )
+    w = word("a.b") * 15
+    assert not generate_accepts(m, w)
+    assert not jump_accepts(m, w)
+    assert acceptance_witness(m, w) is None
+    assert search_counter == []
+    # a feasible vector still needs a search on a GJFA
+    assert generate_accepts(m, word("a.b.b.a")) and jump_accepts(m, word("b.a.a.b"))
+    assert len(search_counter) == 2
 
 
 def test_generation_does_not_use_length_masks(monkeypatch):
