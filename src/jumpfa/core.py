@@ -5,7 +5,8 @@ symbol tokens. The empty tuple is the empty word and is written ``eps`` in
 all textual forms. Every bounded search over automata and insertion
 systems runs on :func:`search`; every bounded insertion closure (GJFA
 enumeration, iterated insertion and the three insertion systems) runs on
-:func:`insertion_closure`, on words coded by :class:`Code`.
+:func:`insertion_closure`, on tuple words. Only the membership searches code
+words as ``str`` (:class:`Coded`, built once per automaton).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import re
 from collections import deque, namedtuple
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -99,25 +99,7 @@ class Rule(NamedTuple):
         return f"({self.src}, {word_str(self.label)}, {self.dst})"
 
 
-class Code:
-    """Words as ``str``, with ``chr(i)`` for ``symbols[i]``: the distinct symbols in name order."""
-
-    def __init__(self, symbols: Iterable[str]):
-        self.symbols = tuple(sorted(set(symbols)))
-        self.chars = {sym: chr(i) for i, sym in enumerate(self.symbols)}
-
-    def encode(self, w: Iterable[str]) -> Optional[str]:
-        """The coded form of w, or None when w has a symbol outside the code."""
-        try:
-            return "".join(map(self.chars.__getitem__, w))
-        except KeyError:
-            return None
-
-    def decode(self, u: str) -> Word:
-        return tuple([self.symbols[ord(c)] for c in u])
-
-
-def insert_positions(w: str, v: str):
+def insert_positions(w: str | Word, v: str | Word):
     """The positions of w to insert v at, except those that repeat the word of the position before:
     an empty v gives one word everywhere, and a run of one symbol c the same word after a c as before it."""
     if not v:
@@ -128,23 +110,16 @@ def insert_positions(w: str, v: str):
 
 
 def insertion_closure(edges, starts, max_len: int, ends) -> list[Word]:
-    """The distinct words that the insertion closure from the starts reaches at a node in ends, decoded.
+    """The distinct words that the insertion closure from the starts reaches at a node in ends.
 
     ``starts`` is a list of (node, word) pairs. Each (src, rule, dst) edge
     applies rule, a (left, ins, right) triple of words, to a word at src: it
     inserts ins between an occurrence of left and right and moves to dst. A word
-    longer than max_len is never built, and a longer start is dropped. The
-    symbols of the starts and rules are coded once (:class:`Code`), so a rule
-    with contexts inserts at each occurrence of the coded left + right, and a
-    context-free rule at :func:`insert_positions`. Only the kept words are
-    decoded, after the search map is freed.
+    longer than max_len is never built, and a longer start is dropped. A rule
+    with contexts inserts after left at each occurrence of left + right,
+    overlapping ones too, and a context-free rule at :func:`insert_positions`.
     """
-    edges = [(src, *rule, dst) for src, rule, dst in edges]
-    code = Code(chain(*(w for _, w in starts), *(left + ins + right for _, left, ins, right, _ in edges)))
-    by_src = multimap(
-        (src, (code.encode(left + right), len(left), code.encode(ins), dst))
-        for src, left, ins, right, dst in edges
-    )
+    by_src = multimap((src, (left + right, len(left), ins, dst)) for src, (left, ins, right), dst in edges)
 
     def successors(node):
         src, w = node
@@ -153,18 +128,18 @@ def insertion_closure(edges, starts, max_len: int, ends) -> list[Word]:
             if len(v) > room:
                 continue
             if context:
-                pos = w.find(context)
-                while pos >= 0:
-                    i = pos + cut
-                    yield dst, w[:i] + v + w[i:]
-                    pos = w.find(context, pos + 1)
+                k = len(context)
+                for pos in range(len(w) - k + 1):
+                    if w[pos : pos + k] == context:
+                        i = pos + cut
+                        yield dst, w[:i] + v + w[i:]
             else:
                 for i in insert_positions(w, v):
                     yield dst, w[:i] + v + w[i:]
 
-    starts = [(node, code.encode(w)) for node, w in starts if len(w) <= max_len]
-    kept = {u for node, u in search(starts, successors)[0] if node in ends}  # the map is freed here
-    return list(map(code.decode, kept))
+    starts = [(node, w) for node, w in starts if len(w) <= max_len]
+    kept = [w for node, w in search(starts, successors)[0] if node in ends]  # the map is freed here
+    return list(set(kept))
 
 
 # A Parikh vector packs one FIELD-bit count per symbol of a code, symbol i in
@@ -199,13 +174,15 @@ def label_sums(starts, edges, fence: int, guards: int) -> dict:
     return sums
 
 
-class Coded(Code):
-    """An automaton's code; its rules in sorted order paired with coded labels, also grouped by
-    source and by target state, its accepting configurations (final state, empty word), and the
-    packed Parikh vector (:meth:`vector`) of each symbol."""
+class Coded:
+    """An automaton's words as ``str``, with ``chr(i)`` for ``symbols[i]``: the distinct symbols of
+    its alphabet and labels in name order. Also its rules in sorted order paired with coded labels,
+    grouped by source and by target state, its accepting configurations (final state, empty word),
+    and the packed Parikh vector (:meth:`vector`) of each symbol."""
 
     def __init__(self, m: Gjfa):
-        super().__init__(m.alphabet.union(*(r.label for r in m.rules)))
+        self.symbols = tuple(sorted(m.alphabet.union(*(r.label for r in m.rules))))
+        self.chars = {sym: chr(i) for i, sym in enumerate(self.symbols)}
         self.rules = [(r, self.encode(r.label)) for r in sorted(m.rules)]
         self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in self.rules)
         self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in self.rules)
@@ -213,6 +190,13 @@ class Coded(Code):
         self.goals = frozenset((f, "") for f in m.finals)
         self.units = {c: 1 << FIELD * i for i, c in enumerate(self.chars.values())}
         self.guards = sum(unit << FIELD - 1 for unit in self.units.values())
+
+    def encode(self, w: Iterable[str]) -> Optional[str]:
+        """The coded form of w, or None when w has a symbol outside the code."""
+        try:
+            return "".join(map(self.chars.__getitem__, w))
+        except KeyError:
+            return None
 
     def vector(self, u: str) -> int:
         """The Parikh vector of the coded word u, packed: the count of symbol i in bits FIELD * i and up."""

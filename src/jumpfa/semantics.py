@@ -7,9 +7,10 @@ inserting labels anywhere; a word is accepted when the walk reaches the
 initial state carrying exactly that word.
 
 The tape-head position is not modeled: the head may move anywhere in each
-step, so a configuration is just (state, word). Searches run on words coded
-as ``str`` (``Gjfa.coded``, or the code of :func:`core.insertion_closure` for
-enumeration); the public functions take and return tuples.
+step, so a configuration is just (state, word). The membership searches run
+on words coded as ``str`` by ``Gjfa.coded``, for ``str.find``; enumeration
+runs :func:`core.insertion_closure` on tuple words. The public functions take
+and return tuples.
 
 Before any search, each side tests the word's Parikh vector: the labels along
 an accepting path sum to it. The deletion side reads the sums of the paths to

@@ -12,9 +12,8 @@ def search_counter(monkeypatch):
 
     A map takes each reached node to the node it was first reached from, or
     to None for a start. ``core.search`` runs every insertion closure and the
-    ``Nfa`` searches. ``core.insertion_closure`` drops its map, whose words
-    are coded, before it returns the decoded words, so this list is the only
-    way to see it.
+    ``Nfa`` searches. ``core.insertion_closure`` drops its map before it
+    returns the words it kept, so this list is the only way to see it.
     """
     from jumpfa import core, semantics
 

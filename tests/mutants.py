@@ -66,10 +66,17 @@ MUTANTS = [
         ("tests/test_analysis.py",),
     ),
     Mutant(
-        "non-overlapping find",
+        "context match skips the last start position",
         "core.py",
-        "pos = w.find(context, pos + 1)",
-        "pos = w.find(context, pos + len(context))",
+        "for pos in range(len(w) - k + 1):",
+        "for pos in range(len(w) - k):",
+        ("tests/test_insertion_systems.py",),
+    ),
+    Mutant(
+        "context rule inserts before left",
+        "core.py",
+        "i = pos + cut",
+        "i = pos",
         ("tests/test_insertion_systems.py",),
     ),
     Mutant(
@@ -194,8 +201,8 @@ MUTANTS = [
     Mutant(
         "ends filter replaced by True",
         "core.py",
-        "if node in ends}",
-        "if True}",
+        "if node in ends]",
+        "if True]",
         ("tests/test_insertion_systems.py",),
     ),
 ]

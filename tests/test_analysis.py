@@ -83,6 +83,11 @@ def test_uc_condition_rejects_empty_word():
         uc_condition(ab_star, (), 2)
 
 
+def test_uc_condition_rejects_degree_zero():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        uc_condition(ab_star, word("a.b"), 0)
+
+
 def test_uc_condition_witness_replays():
     report = uc_condition(dyck_balance, word("a.a.abar.abar"), 2)
     assert report.passes

@@ -55,6 +55,20 @@ def test_member_alphabet_mismatch(capsys):
     assert "error" in err
 
 
+def test_member_both_reports_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr("jumpfa.semantics.generate_accepts", lambda m, w: False)
+    code, out, err = run(capsys, "member", "thm1_m", "a.abar", "--semantics", "both")
+    assert code == 3
+    assert out.splitlines() == ["word: a.abar", "jump: True", "generate: False"]
+    assert err == "semantics disagree\n"
+
+
+def test_member_rejects_a_builder_entry(capsys):
+    code, out, err = run(capsys, "member", "sigma_star_gjfa", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: corpus entry sigma_star_gjfa is a builder, not an automaton\n"
+
+
 def test_member_echoes_parsed_empty_word(capsys):
     code, out, _ = run(capsys, "member", "dyck_gjfa", "")
     assert code == 0
@@ -167,6 +181,13 @@ def test_convert_rejects_contextual_rule(capsys, tmp_path):
     assert "(a|b|eps)" in err
 
 
+def test_convert_from_gcis_missing_file(capsys, tmp_path):
+    missing = tmp_path / "absent.gcis"
+    code, out, err = run(capsys, "convert", "from-gcis", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: no such file: {missing}\n"
+
+
 def test_convert_component_count(capsys):
     _, out, _ = run(capsys, "convert", "to-gcis", "thm1_m")
     components = [l for l in out.splitlines() if l.startswith("component:")][0]
@@ -190,6 +211,13 @@ def test_check_uc_falsify(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "falsified"
     assert payload["violations"]
+
+
+def test_check_uc_falsify_rejects_degree_zero(capsys):
+    argv = ["check", "uc-falsify", "--oracle", "ab_star", "--word", "a.b", "--degree", "0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: degree must be >= 1\n"
 
 
 def test_check_uc_soundness(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,17 @@ def test_dyck_bounded_small():
 
 def test_semi_dyck_bounded_small():
     assert semi_dyck_bounded(2, 2) == langset("eps", "a1.a1bar", "a2.a2bar")
+
+
+def test_semi_dyck_bounded_needs_a_bracket_pair():
+    with pytest.raises(ValueError, match="need at least one bracket pair"):
+        semi_dyck_bounded(0, 4)
+
+
+def test_langset_rejects_a_word_longer_than_its_bound():
+    assert LangSet([word("a.b")], 2).bound == 2
+    with pytest.raises(ValueError, match="word longer than declared bound"):
+        LangSet([word("a.b.a")], 2)
 
 
 def test_dyck_matches_counter_oracle():

@@ -23,10 +23,14 @@ THM1 = corpus_get("thm1_m").value
 EQUAL_COUNTS = corpus_get("equal_counts_jfa").value
 
 
+def _decode(m, u):
+    """The tuple word of the word u coded by m.coded."""
+    return tuple(m.coded.symbols[ord(c)] for c in u)
+
+
 def _one_step(m, state, w):
     """The (state, word) pairs one deletion step from (state, w), decoded."""
-    coded = m.coded
-    return {(q, coded.decode(u)) for q, u in _deletions(m)((state, coded.encode(w)))}
+    return {(q, _decode(m, u)) for q, u in _deletions(m)((state, m.coded.encode(w)))}
 
 
 def test_delete_successors_two_occurrences():
@@ -263,9 +267,10 @@ def _plain_jump(m, w):
 
 
 def test_parikh_path_differential_random_jfa():
-    # on a JFA, jump_accepts deletes only leftmost occurrences and
-    # generate_accepts walks Parikh vectors; the plain deletion search and
-    # the enumeration must agree with both
+    # on a JFA, jump_accepts and generate_accepts answer from the Parikh
+    # vector sets alone, and only acceptance_witness searches, deleting each
+    # label at its leftmost occurrence; the plain deletion search and the
+    # enumeration must agree with all three
     rng = random.Random(2012)
     machines = [_random_jfa(rng) for _ in range(30)]
     assert all(m.coded.jfa for m in machines)
@@ -311,7 +316,7 @@ def test_fast_paths_bound_the_search(search_counter):
         search_counter.clear()
         assert generate_accepts(m, target) == verdict
         (parents,) = search_counter
-        assert all(_is_subsequence(m.coded.decode(u), target) for _, u in parents)
+        assert all(_is_subsequence(_decode(m, u), target) for _, u in parents)
     # two a2 and one a2bar, and two a, two b and one c: no accepting path has
     # these Parikh vectors, so neither side searches
     for m, target in [(semidyck2, word("a1.a2.a2bar.a1bar.a2")), (EQUAL_COUNTS, word("c.b.a.a.b"))]:
@@ -493,7 +498,7 @@ def test_wrong_length_is_rejected_before_coding(monkeypatch):
     def fail(*args):
         raise AssertionError("called on a word of the wrong length")
 
-    monkeypatch.setattr(core.Code, "encode", fail)
+    monkeypatch.setattr(core.Coded, "encode", fail)
     monkeypatch.setattr(semantics, "search", fail)
     # length 19 is not a multiple of 3, so no accepting path has it
     long_word = ("a", "b", "c") * 6 + ("a",)
