@@ -5,8 +5,9 @@ symbol tokens. The empty tuple is the empty word and is written ``eps`` in
 all textual forms. Every bounded search over automata and insertion
 systems runs on :func:`search`; every bounded insertion closure (GJFA
 enumeration, iterated insertion and the three insertion systems) runs on
-:func:`insertion_closure`, on tuple words. Only the membership searches code
-words as ``str`` (:class:`Coded`, built once per automaton).
+:func:`insertion_closure`, on tuple words. Only the two membership searches
+code words as ``str`` (:class:`Coded`, built once per automaton); the length
+and Parikh vector tests before them read the tuple word.
 """
 
 from __future__ import annotations
@@ -175,32 +176,33 @@ def label_sums(starts, edges, fence: int, guards: int) -> dict:
 
 
 class Coded:
-    """An automaton's words as ``str``, with ``chr(i)`` for ``symbols[i]``: the distinct symbols of
-    its alphabet and labels in name order. Also its rules in sorted order paired with coded labels,
-    grouped by source and by target state, its accepting configurations (final state, empty word),
-    and the packed Parikh vector (:meth:`vector`) of each symbol."""
+    """An automaton's words as ``str`` for the two membership searches, with ``chr(i)`` for
+    ``symbols[i]``: the distinct symbols of its alphabet and labels in name order. Also its rules
+    in sorted order paired with coded labels, grouped by source and by target state, its accepting
+    configurations (final state, empty word), and :meth:`vector`, which reads tuple words."""
 
     def __init__(self, m: Gjfa):
         self.symbols = tuple(sorted(m.alphabet.union(*(r.label for r in m.rules))))
         self.chars = {sym: chr(i) for i, sym in enumerate(self.symbols)}
-        self.rules = [(r, self.encode(r.label)) for r in sorted(m.rules)]
-        self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in self.rules)
-        self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in self.rules)
+        rules = [(r, self.encode(r.label)) for r in sorted(m.rules)]
+        self.by_src: dict[str, list[tuple[Rule, str]]] = multimap((r.src, (r, v)) for r, v in rules)
+        self.by_dst: dict[str, list[tuple[Rule, str]]] = multimap((r.dst, (r, v)) for r, v in rules)
         self.jfa = is_jfa(m)  # every label has length at most 1
         self.goals = frozenset((f, "") for f in m.finals)
-        self.units = {c: 1 << FIELD * i for i, c in enumerate(self.chars.values())}
+        self.units = {sym: 1 << FIELD * i for i, sym in enumerate(self.symbols)}
         self.guards = sum(unit << FIELD - 1 for unit in self.units.values())
 
-    def encode(self, w: Iterable[str]) -> Optional[str]:
-        """The coded form of w, or None when w has a symbol outside the code."""
+    def encode(self, w: Iterable[str]) -> str:
+        """The coded form of w, whose symbols are all in the code."""
+        return "".join(map(self.chars.__getitem__, w))
+
+    def vector(self, w: Iterable[str]) -> Optional[int]:
+        """The Parikh vector of w, packed: the count of symbols[i] in bits FIELD * i and up; None
+        when w has a symbol outside the code."""
         try:
-            return "".join(map(self.chars.__getitem__, w))
+            return sum(map(self.units.__getitem__, w))
         except KeyError:
             return None
-
-    def vector(self, u: str) -> int:
-        """The Parikh vector of the coded word u, packed: the count of symbol i in bits FIELD * i and up."""
-        return sum(map(self.units.__getitem__, u))
 
     def regrown(self, fence: int, vector: int) -> int:
         """The fence of a box that holds vector: each count vector exceeds grows to max(count, 2 * old)."""
@@ -236,23 +238,22 @@ class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
         """The coded form, built once per automaton."""
         return Coded(self)
 
-    def length_masks(self, n: int) -> dict[str, int]:
-        """Per state q, an int whose bit l is set iff some path from q to a final
-        state has label lengths summing to l; exact for every l <= n.
+    def final_lengths(self, n: int) -> dict[str, set[int]]:
+        """Per state q, the sums of the label lengths along the paths from q to a final state;
+        exact for every length <= n.
 
-        Every such path yields a word of length l, so the initial state's mask
-        is the set of lengths of L(M). Built on first use as a fixpoint over the
-        rules, and rebuilt at twice the bound when a longer word asks. A state
-        with no path to a final state is absent.
+        Every such path yields a word of that length, so the initial state's
+        set holds the lengths of L(M). Built on first use as a fixpoint over
+        the rules, and rebuilt at twice the bound when a longer word asks. A
+        state with no path to a final state is absent.
         """
-        bound, masks = self.__dict__.get("_length_masks", (-1, None))
+        bound, sums = self.__dict__.get("_final_lengths", (-1, None))
         if n > bound:
             bound = max(n, 2 * bound)
             guard = 1 << FIELD - 1  # a length is a vector of one field
             sums = label_sums(self.finals, self._rule_graph(True, len), bound | guard, guard)
-            masks = {q: sum(1 << length for length in lengths) for q, lengths in sums.items()}
-            self.__dict__["_length_masks"] = (bound, masks)
-        return masks
+            self.__dict__["_final_lengths"] = (bound, sums)
+        return sums
 
     def final_vectors(self, vector: int) -> dict[str, set[int]]:
         """Per state q, the Parikh vectors (:meth:`Coded.vector`) of the label sums of the paths
@@ -283,11 +284,11 @@ class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
         return sums
 
     def _rule_graph(self, to_final: bool, weight) -> dict:
-        """Per state, its (next state, weight of the coded label) pairs: from each rule's target
-        to its source when to_final (the paths to a final state, walked back), else forward."""
+        """Per state, its (next state, weight of the label) pairs: from each rule's target to its
+        source when to_final (the paths to a final state, walked back), else forward."""
         if to_final:
-            return multimap((r.dst, (r.src, weight(v))) for r, v in self.coded.rules)
-        return multimap((r.src, (r.dst, weight(v))) for r, v in self.coded.rules)
+            return multimap((r.dst, (r.src, weight(r.label))) for r in self.rules)
+        return multimap((r.src, (r.dst, weight(r.label))) for r in self.rules)
 
 
 def validate(m: Gjfa) -> list[str]:

@@ -7,10 +7,10 @@ inserting labels anywhere; a word is accepted when the walk reaches the
 initial state carrying exactly that word.
 
 The tape-head position is not modeled: the head may move anywhere in each
-step, so a configuration is just (state, word). The membership searches run
-on words coded as ``str`` by ``Gjfa.coded``, for ``str.find``; enumeration
-runs :func:`core.insertion_closure` on tuple words. The public functions take
-and return tuples.
+step, so a configuration is just (state, word). Only the two membership
+searches code a word, as ``str`` by ``Gjfa.coded`` for ``str.find``, when
+they start; enumeration runs :func:`core.insertion_closure` on tuple words.
+The public functions take and return tuples.
 
 Before any search, each side tests the word's Parikh vector: the labels along
 an accepting path sum to it. The deletion side reads the sums of the paths to
@@ -46,10 +46,10 @@ class AcceptanceWitness(NamedTuple):
         return w
 
 
-def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] = None):
+def _deletions(m: Gjfa, leftmost: bool = False, lengths: Optional[dict[str, set[int]]] = None):
     """Successors of the deletion search on coded words: each rule's label deleted at each occurrence.
 
-    With ``masks`` (``Gjfa.length_masks``), a rule (q, v, r) is tried only
+    With ``lengths`` (``Gjfa.final_lengths``), a rule (q, v, r) is tried only
     when the remainder's length is in r's set.
     """
     by_src = m.coded.by_src
@@ -57,8 +57,7 @@ def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] 
     def successors(node):
         state, w = node
         for rule, v in by_src.get(state, ()):
-            # bit |w| of the shifted mask is bit |w| - |v| of r's mask
-            if masks is not None and not masks.get(rule.dst, 0) << len(v) >> len(w) & 1:
+            if lengths is not None and len(w) - len(v) not in lengths.get(rule.dst, ()):
                 continue
             pos = w.find(v)
             while pos >= 0:
@@ -70,31 +69,27 @@ def _deletions(m: Gjfa, leftmost: bool = False, masks: Optional[dict[str, int]] 
     return successors
 
 
-def _admitted(m: Gjfa, w: Word) -> Optional[tuple[str, dict[str, int]]]:
-    """(the coded w, the length masks) when the tuple w passes the tests without a search, else None.
+def _admitted(m: Gjfa, w: Word) -> Optional[dict[str, set[int]]]:
+    """The length sets (``Gjfa.final_lengths``) when the tuple w passes the tests before a search, else None.
 
-    The length test comes first, so a word of a length L(m) lacks is not
-    coded; then the code, then the Parikh vector against the initial state's
-    set of :meth:`Gjfa.final_vectors`.
+    The length test comes first, then the Parikh vector, which is None for a
+    symbol outside the code, against the initial state's set of
+    :meth:`Gjfa.final_vectors`. Neither codes the word.
     """
     n = len(w)
-    masks = m.length_masks(n)
-    if not masks.get(m.initial, 0) >> n & 1:
+    lengths = m.final_lengths(n)
+    if n not in lengths.get(m.initial, ()):
         return None
-    coded = m.coded
-    u = coded.encode(w)
-    if u is None:
+    vector = m.coded.vector(w)
+    if vector is None or vector not in m.final_vectors(vector).get(m.initial, ()):
         return None
-    vector = coded.vector(u)
-    if vector not in m.final_vectors(vector).get(m.initial, ()):
-        return None
-    return u, masks
+    return lengths
 
 
-def _accepting_search(m: Gjfa, u: str, masks: dict[str, int]):
-    """The deletion search from (initial, u): (parents, accepting node), the node None on rejection."""
+def _accepting_search(m: Gjfa, w: Word, lengths: dict[str, set[int]]):
+    """The deletion search from (initial, coded w): (parents, accepting node), the node None on rejection."""
     coded = m.coded
-    return search([(m.initial, u)], _deletions(m, coded.jfa, masks), coded.goals.__contains__)
+    return search([(m.initial, coded.encode(w))], _deletions(m, coded.jfa, lengths), coded.goals.__contains__)
 
 
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
@@ -110,10 +105,10 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     rule of ``coded.by_src[q]`` into r, at its leftmost position, that deletes u to rest.
     """
     w = tuple(w)
-    admitted = _admitted(m, w)
-    if admitted is None:
+    lengths = _admitted(m, w)
+    if lengths is None:
         return None
-    parents, node = _accepting_search(m, *admitted)
+    parents, node = _accepting_search(m, w, lengths)
     if node is None:
         return None
     steps: list[tuple[Rule, int]] = []
@@ -131,10 +126,11 @@ def jump_accepts(m: Gjfa, w: Word) -> bool:
 
     On a JFA the Parikh vector test is exact, so no search runs.
     """
-    admitted = _admitted(m, tuple(w))
-    if admitted is None:
+    w = tuple(w)
+    lengths = _admitted(m, w)
+    if lengths is None:
         return False
-    return m.coded.jfa or _accepting_search(m, *admitted)[1] is not None
+    return m.coded.jfa or _accepting_search(m, w, lengths)[1] is not None
 
 
 def _embeds(v: str, t: str, lo: int, hi: int) -> bool:
@@ -181,16 +177,17 @@ def generate_accepts(m: Gjfa, w: Word) -> bool:
     keeps only subsequences of the target. Epsilon-labeled rules are
     cycle-cut by the visited set.
     """
+    w = tuple(w)
     coded = m.coded
-    u = coded.encode(w)
-    if u is None:
+    vector = coded.vector(w)
+    if vector is None:
         return False
-    vector = coded.vector(u)
     reached = m.initial_vectors(vector)
     if not any(vector in reached.get(f, ()) for f in m.finals):
         return False
     if coded.jfa:
         return True
+    u = coded.encode(w)
     goal = (m.initial, u)
     _, found = search([(f, "") for f in m.finals], _insertions(m, u), goal.__eq__)
     return found is not None

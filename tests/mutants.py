@@ -38,10 +38,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "early length test reads bit n + 1",
+        "early length test reads length n + 1",
         "semantics.py",
-        "if not masks.get(m.initial, 0) >> n & 1:",
-        "if not masks.get(m.initial, 0) >> n + 1 & 1:",
+        "if n not in lengths.get(m.initial, ()):",
+        "if n + 1 not in lengths.get(m.initial, ()):",
         ("tests/test_semantics.py",),
     ),
     Mutant(
@@ -80,14 +80,14 @@ MUTANTS = [
         ("tests/test_insertion_systems.py",),
     ),
     Mutant(
-        "eps-rules counted as length 1 in length_masks",
+        "eps-rules counted as length 1 in the length sets",
         "core.py",
         "self._rule_graph(True, len)",
         "self._rule_graph(True, lambda v: max(len(v), 1))",
         ("tests/test_semantics.py",),
     ),
     Mutant(
-        "masks not regrown",
+        "length sets not regrown",
         "core.py",
         "if n > bound:",
         "if bound < 0:",
@@ -96,8 +96,22 @@ MUTANTS = [
     Mutant(
         "Parikh vector counts every symbol as the first",
         "core.py",
-        "self.units = {c: 1 << FIELD * i for",
-        "self.units = {c: 1 << 0 * i for",
+        "self.units = {sym: 1 << FIELD * i for",
+        "self.units = {sym: 1 << 0 * i for",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "vector ignores a symbol outside the code",
+        "core.py",
+        "sum(map(self.units.__getitem__, w))",
+        "sum(self.units.get(s, 0) for s in w)",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "per-step length test reads the source state's set",
+        "semantics.py",
+        "len(w) - len(v) not in lengths.get(rule.dst, ())",
+        "len(w) - len(v) not in lengths.get(rule.src, ())",
         ("tests/test_semantics.py",),
     ),
     Mutant(

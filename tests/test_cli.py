@@ -20,9 +20,16 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # every command pays this import; dataclasses alone (with inspect and ast) adds about 10 ms
+    # every command pays this import; dataclasses alone (with inspect and ast) adds about 10 ms.
+    # The probe also lists each module the import loads that is neither in the standard library
+    # nor jumpfa: the runtime has no third-party dependencies. Modules that site hooks load at
+    # interpreter start-up, before the import, are not the import's
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import jumpfa.cli, sys; print('dataclasses' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import jumpfa.cli; print('dataclasses' in sys.modules); "
+        "print(sorted(n for n in sys.modules.keys() - before if n.partition('.')[0] "
+        "not in {*sys.stdlib_module_names, 'jumpfa'}))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -30,7 +37,7 @@ def test_cli_import_leaves_dataclasses_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False\n[]\n"
 
 
 def test_member_accept(capsys):

@@ -330,18 +330,19 @@ def test_fast_paths_bound_the_search(search_counter):
     assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a", "a", "b"))
     assert search_counter == []
     # the vector (10, 10) is feasible; each remainder is a^k abar^k in state
-    # _g0, and the length masks let the eps-rules to q and r in only at k = 0
+    # _g0, and the length sets let the eps-rules to q and r in only at k = 0
     assert jump_accepts(dyck, ("a",) * 10 + ("abar",) * 10)
     (parents,) = search_counter
     assert len(parents) <= 11 + 2
 
 
-def _mask_lengths(mask, n):
-    return {k for k in range(n + 1) if mask >> k & 1}
+def _lengths(m, q, n):
+    """The lengths up to n in q's set of ``Gjfa.final_lengths(n)``."""
+    return {k for k in m.final_lengths(n).get(q, ()) if k <= n}
 
 
 def test_length_masks_match_enumeration():
-    # each state's mask holds the lengths of the words accepted from it
+    # each state's set holds the lengths of the words accepted from it
     rng = random.Random(2015)
     machines = [(m, 8) for _, m in corpus_automata()] + [(_random_gjfa(rng), 6) for _ in range(20)]
     assert any(not r.label for m, _ in machines for r in m.rules)
@@ -351,14 +352,14 @@ def test_length_masks_match_enumeration():
             lengths = {len(w) for w in enumerate_language(from_q, n)}
             # growing bounds exercise the rebuild at twice the bound
             for k in range(n + 1):
-                got = _mask_lengths(m.length_masks(k).get(q, 0), k)
+                got = _lengths(m, q, k)
                 assert got == {x for x in lengths if x <= k}, (m, q, k)
 
 
 def test_length_pruned_jump_matches_plain_search():
     rng = random.Random(2015)
     machines = [_random_gjfa(rng) for _ in range(20)]
-    assert any(_mask_lengths(m.length_masks(6).get(m.initial, 0), 6) != set(range(7)) for m in machines)
+    assert any(_lengths(m, m.initial, 6) != set(range(7)) for m in machines)
     for m in machines:
         for n in range(7):
             for w in itertools.product("ab", repeat=n):
@@ -396,7 +397,7 @@ def _counts(m, x):
 
 
 def _vector(m, w):
-    return m.coded.vector(m.coded.encode(w))
+    return m.coded.vector(tuple(w))
 
 
 def test_parikh_vectors_match_enumeration():
@@ -477,7 +478,7 @@ def test_infeasible_vector_is_rejected_without_search(search_counter):
 
 
 def test_generation_does_not_use_length_masks(monkeypatch):
-    monkeypatch.setattr(Gjfa, "length_masks", None)
+    monkeypatch.setattr(Gjfa, "final_lengths", None)
     for name, m in corpus_automata():
         language = enumerate_language(m, 4)
         for n in range(5):
@@ -487,16 +488,25 @@ def test_generation_does_not_use_length_masks(monkeypatch):
 
 def test_word_outside_the_code_is_rejected_without_search(monkeypatch):
     monkeypatch.setattr(semantics, "search", None)
+    # on a JFA no search would catch the symbol: the vector test must
+    sigma_star = corpus_get("sigma_star_ab").value
+    assert not jump_accepts(sigma_star, word("a.x")) and not generate_accepts(sigma_star, word("x.b"))
     assert acceptance_witness(THM1, word("a.x")) is None
     assert not jump_accepts(THM1, word("x"))
     assert not generate_accepts(THM1, word("abar.x.a"))
 
 
 def test_wrong_length_is_rejected_before_coding(monkeypatch):
-    assert EQUAL_COUNTS.coded  # built once per automaton, before the patches below
+    # a word is coded only when a search runs: the length and Parikh vector
+    # tests read the tuple word
+    sigma_star = corpus_get("sigma_star_ab").value
+    semidyck2 = corpus_get("semidyck2_gjfa").value
+    jfas = [EQUAL_COUNTS, sigma_star]
+    assert all(m.coded for m in jfas + [semidyck2])  # built once per automaton, before the patches below
+    languages = [enumerate_language(m, 6) for m in jfas]
 
     def fail(*args):
-        raise AssertionError("called on a word of the wrong length")
+        raise AssertionError("called before a search runs")
 
     monkeypatch.setattr(core.Coded, "encode", fail)
     monkeypatch.setattr(semantics, "search", fail)
@@ -507,6 +517,20 @@ def test_wrong_length_is_rejected_before_coding(monkeypatch):
     assert acceptance_witness(EQUAL_COUNTS, long_word) is None
     # length 2 and a symbol outside the alphabet
     assert not jump_accepts(EQUAL_COUNTS, ("a", "x"))
+    # an admissible length and a symbol outside the code
+    assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "x"))
+    assert not generate_accepts(EQUAL_COUNTS, ("a", "b", "x"))
+    # on a JFA both sides answer every word from its length and vector alone
+    for m, language in zip(jfas, languages):
+        for n in range(7):
+            for w in itertools.product(sorted(m.alphabet), repeat=n):
+                assert jump_accepts(m, w) == generate_accepts(m, w) == (w in language), (m, w)
+    # a GJFA word of an admissible length whose Parikh vector no path has
+    w = word("a1.a1.a1bar.a2bar")
+    assert len(w) in semidyck2.final_lengths(len(w))[semidyck2.initial]
+    assert not jump_accepts(semidyck2, w)
+    assert acceptance_witness(semidyck2, w) is None
+    assert not generate_accepts(semidyck2, w)
 
 
 def test_boolean_membership_builds_no_witness(monkeypatch):
