@@ -2,12 +2,12 @@
 
 Symbols and state ids are plain interned token strings; words are tuples of
 symbol tokens. The empty tuple is the empty word and is written ``eps`` in
-all textual forms. Every bounded search over automata and insertion
-systems runs on :func:`search`; every bounded insertion closure (GJFA
-enumeration, iterated insertion and the three insertion systems) runs on
-:func:`insertion_closure`, on tuple words. Only the two membership searches
-code words as ``str`` (:class:`Coded`, built once per automaton); the length
-and Parikh vector tests before them read the tuple word.
+all textual forms. Every bounded search runs on :func:`search`: over automata,
+insertion systems, and (state, vector) nodes for the Parikh vector tests
+(:meth:`Gjfa.vector_search`). Every bounded insertion closure (GJFA enumeration,
+iterated insertion, the insertion systems) runs on :func:`insertion_closure`, on
+tuple words. Only the two membership word searches code words as ``str``
+(:class:`Coded`, built once per automaton); the tests before them read tuples.
 """
 
 from __future__ import annotations
@@ -145,29 +145,23 @@ def insertion_closure(edges, starts, max_len: int, ends) -> list[Word]:
 
 # A Parikh vector packs one FIELD-bit count per symbol of a code, symbol i in
 # bits FIELD * i and up. Counts stay below 2 ** (FIELD - 1): the top bit of a
-# field is the guard of the box test in label_sums.
+# field is the guard of the non-negativity test in Gjfa.vector_search.
 FIELD = 32
 
 
-def label_sums(starts, edges, fence: int, guards: int) -> dict:
-    """Per node, the sums of the weights along the paths from a start to it that stay in a box.
+def label_sums(starts, edges, bound: int) -> dict:
+    """Per node, the sums up to bound of the weights along the paths from a start to it.
 
-    ``edges`` maps a node to its (next node, weight) pairs. Weights are
-    Parikh vectors packed as by :meth:`Coded.vector`, or lengths (a vector
-    of one field). A sum x is in the box iff ``(fence - x) & guards ==
-    guards``, where ``guards`` has the top bit of each field set and
-    ``fence`` is the box's counts with the guards. Weights are not negative,
-    so a sum that leaves the box never returns, and the sets are exact inside
-    it. The fixpoint passes on only the sums new at a node. A node that no
-    path reaches is absent.
+    ``edges`` maps a node to its (next node, weight) pairs; weights are not
+    negative. The fixpoint passes on only the sums new at a node. A node
+    that no path reaches is absent.
     """
     sums = {q: {0} for q in starts}
     work = {q: {0} for q in starts}
     while work:
         q, delta = work.popitem()
         for nxt, weight in edges.get(q, ()):
-            limit = fence - weight  # x + weight is in the box iff x is under this limit
-            new = {x + weight for x in delta if (limit - x) & guards == guards}
+            new = {x + weight for x in delta if x + weight <= bound}
             new.difference_update(sums.get(nxt, ()))
             if new:
                 sums.setdefault(nxt, set()).update(new)
@@ -203,15 +197,6 @@ class Coded:
             return sum(map(self.units.__getitem__, w))
         except KeyError:
             return None
-
-    def regrown(self, fence: int, vector: int) -> int:
-        """The fence of a box that holds vector: each count vector exceeds grows to max(count, 2 * old)."""
-        top = (1 << FIELD - 1) - 1
-        box = 0
-        for i in range(0, FIELD * len(self.units), FIELD):
-            old, count = fence >> i & top, vector >> i & top
-            box |= (max(count, 2 * old) if count > old else old) << i
-        return box | self.guards
 
 
 class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
@@ -250,45 +235,58 @@ class Gjfa(namedtuple("Gjfa", "states alphabet rules initial finals")):
         bound, sums = self.__dict__.get("_final_lengths", (-1, None))
         if n > bound:
             bound = max(n, 2 * bound)
-            guard = 1 << FIELD - 1  # a length is a vector of one field
-            sums = label_sums(self.finals, self._rule_graph(True, len), bound | guard, guard)
+            sums = label_sums(self.finals, self._rule_graph(True, len), bound)
             self.__dict__["_final_lengths"] = (bound, sums)
         return sums
 
-    def final_vectors(self, vector: int) -> dict[str, set[int]]:
-        """Per state q, the Parikh vectors (:meth:`Coded.vector`) of the label sums of the paths
-        from q to a final state; exact for every vector in a box that holds the given one.
+    def final_feasible(self, vector: int) -> bool:
+        """True iff the labels of some accepting path sum to the Parikh vector (:meth:`Coded.vector`),
+        by the forward :meth:`vector_search`; memoized. The deletion side's test, and on a JFA the
+        whole test (Meduna and Zemek: L(M) is the permutation closure of M read as an automaton)."""
+        return self._feasible("_final_verdicts", True, vector)
 
-        The deletion side: a word is in L(M) only if the initial state's set
-        holds its vector, and on a JFA that is the whole test (Meduna and
-        Zemek: L(M) is the permutation closure of M read as an automaton).
+    def initial_feasible(self, vector: int) -> bool:
+        """The generation side's :meth:`final_feasible`: the backward search, with a memo of its own."""
+        return self._feasible("_initial_verdicts", False, vector)
+
+    def _feasible(self, key: str, forward: bool, vector: int) -> bool:
+        memo = self.__dict__.setdefault(key, {})
+        verdict = memo.get(vector)
+        if verdict is None:
+            verdict = memo[vector] = self.vector_search(forward, vector)[1] is not None
+        return verdict
+
+    def vector_search(self, forward: bool, vector: int):
+        """:func:`search` over (state, vector left) nodes for an accepting path whose labels sum to vector.
+
+        Forward from (initial, vector) to (final state, 0), or backward from
+        (f, vector) for each final state f to (initial, 0), taking the rules in
+        sorted order and subtracting each label's vector. A node where a count
+        would go negative is cut (with every field's guard bit set, the
+        subtraction clears a guard just then), so at most prod(c_i + 1) nodes
+        per state are reached.
         """
-        return self._vectors("_final_vectors", vector, True)
+        guards = self.coded.guards
+        edges = self._rule_graph(not forward, self.coded.vector)
 
-    def initial_vectors(self, vector: int) -> dict[str, set[int]]:
-        """Per state q, the Parikh vectors of the label sums of the paths from the initial
-        state to q; exact for every vector in a box that holds the given one. The generation
-        side's test, as :meth:`final_vectors` is the deletion side's."""
-        return self._vectors("_initial_vectors", vector, False)
+        def successors(node):
+            q, x = node
+            x |= guards
+            for dst, weight in edges.get(q, ()):
+                y = x - weight
+                if y & guards == guards:
+                    yield dst, y ^ guards
 
-    def _vectors(self, key: str, vector: int, to_final: bool) -> dict[str, set[int]]:
-        """The :func:`label_sums` of the rule graph with Parikh vector weights, built on first use,
-        and rebuilt in a box grown by :meth:`Coded.regrown` when a vector outside the box asks."""
-        coded = self.coded
-        fence, sums = self.__dict__.get(key, (coded.guards, None))
-        if sums is None or (fence - vector) & coded.guards != coded.guards:
-            fence = coded.regrown(fence, vector)
-            starts = self.finals if to_final else [self.initial]
-            sums = label_sums(starts, self._rule_graph(to_final, coded.vector), fence, coded.guards)
-            self.__dict__[key] = (fence, sums)
-        return sums
+        if forward:
+            return search([(self.initial, vector)], successors, lambda n: not n[1] and n[0] in self.finals)
+        return search([(f, vector) for f in sorted(self.finals)], successors, (self.initial, 0).__eq__)
 
-    def _rule_graph(self, to_final: bool, weight) -> dict:
-        """Per state, its (next state, weight of the label) pairs: from each rule's target to its
-        source when to_final (the paths to a final state, walked back), else forward."""
-        if to_final:
-            return multimap((r.dst, (r.src, weight(r.label))) for r in self.rules)
-        return multimap((r.src, (r.dst, weight(r.label))) for r in self.rules)
+    def _rule_graph(self, backward: bool, weight) -> dict:
+        """Per state, its (next state, label weight) pairs; rules in sorted order, reversed when backward."""
+        rules = sorted(self.rules)
+        if backward:
+            return multimap((r.dst, (r.src, weight(r.label))) for r in rules)
+        return multimap((r.src, (r.dst, weight(r.label))) for r in rules)
 
 
 def validate(m: Gjfa) -> list[str]:

@@ -12,11 +12,12 @@ searches code a word, as ``str`` by ``Gjfa.coded`` for ``str.find``, when
 they start; enumeration runs :func:`core.insertion_closure` on tuple words.
 The public functions take and return tuples.
 
-Before any search, each side tests the word's Parikh vector: the labels along
-an accepting path sum to it. The deletion side reads the sums of the paths to
-a final state (``Gjfa.final_vectors``), the generation side those of the paths
-from the initial state (``Gjfa.initial_vectors``), so neither side reads the
-other's structure. On a JFA the test is exact, and no search runs.
+Before any word search, each side tests the word's Parikh vector: the labels
+along an accepting path sum to it. The deletion side searches forward from the
+initial state (``Gjfa.final_feasible``), the generation side backward from the
+final states (``Gjfa.initial_feasible``), each with its own verdict memo, so
+neither side reads the other's structure. On a JFA the test is exact, and no
+word search runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Rule, Word, insert_positions, insertion_closure, search
+from jumpfa.core import FIELD, Gjfa, Rule, Word, insert_positions, insertion_closure, search
 from jumpfa.langops import LangSet
 
 
@@ -46,7 +47,7 @@ class AcceptanceWitness(NamedTuple):
         return w
 
 
-def _deletions(m: Gjfa, leftmost: bool = False, lengths: Optional[dict[str, set[int]]] = None):
+def _deletions(m: Gjfa, lengths: Optional[dict[str, set[int]]] = None):
     """Successors of the deletion search on coded words: each rule's label deleted at each occurrence.
 
     With ``lengths`` (``Gjfa.final_lengths``), a rule (q, v, r) is tried only
@@ -62,9 +63,7 @@ def _deletions(m: Gjfa, leftmost: bool = False, lengths: Optional[dict[str, set[
             pos = w.find(v)
             while pos >= 0:
                 yield rule.dst, w[:pos] + w[pos + len(v) :]
-                if leftmost or not v:
-                    break
-                pos = w.find(v, pos + 1)
+                pos = w.find(v, pos + 1) if v else -1
 
     return successors
 
@@ -72,16 +71,15 @@ def _deletions(m: Gjfa, leftmost: bool = False, lengths: Optional[dict[str, set[
 def _admitted(m: Gjfa, w: Word) -> Optional[dict[str, set[int]]]:
     """The length sets (``Gjfa.final_lengths``) when the tuple w passes the tests before a search, else None.
 
-    The length test comes first, then the Parikh vector, which is None for a
-    symbol outside the code, against the initial state's set of
-    :meth:`Gjfa.final_vectors`. Neither codes the word.
+    The length test comes first, then :meth:`Gjfa.final_feasible` on the Parikh
+    vector, which is None for a symbol outside the code. Neither codes the word.
     """
     n = len(w)
     lengths = m.final_lengths(n)
     if n not in lengths.get(m.initial, ()):
         return None
     vector = m.coded.vector(w)
-    if vector is None or vector not in m.final_vectors(vector).get(m.initial, ()):
+    if vector is None or not m.final_feasible(vector):
         return None
     return lengths
 
@@ -89,7 +87,7 @@ def _admitted(m: Gjfa, w: Word) -> Optional[dict[str, set[int]]]:
 def _accepting_search(m: Gjfa, w: Word, lengths: dict[str, set[int]]):
     """The deletion search from (initial, coded w): (parents, accepting node), the node None on rejection."""
     coded = m.coded
-    return search([(m.initial, coded.encode(w))], _deletions(m, coded.jfa, lengths), coded.goals.__contains__)
+    return search([(m.initial, coded.encode(w))], _deletions(m, lengths), coded.goals.__contains__)
 
 
 def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
@@ -99,33 +97,41 @@ def acceptance_witness(m: Gjfa, w: Word) -> Optional[AcceptanceWitness]:
     state has, with a symbol outside the code, or with a Parikh vector that
     no such path's labels sum to, is rejected at once. The search tries a
     rule only when the remainder's length is in the length set of the rule's
-    target state. On a JFA each label is deleted at its leftmost occurrence
-    only, as acceptance depends on the Parikh vector alone.
-    Each step (q, u) -> (r, rest) is the move the search took first: the first
-    rule of ``coded.by_src[q]`` into r, at its leftmost position, that deletes u to rest.
+    target state. A JFA runs no word search: its path is the forward
+    :meth:`Gjfa.vector_search`'s, each vector difference's symbol deleted at
+    its leftmost occurrence. Each step (q, u) -> (r, rest) is the first rule
+    of ``coded.by_src[q]`` into r, at its leftmost position, that deletes u
+    to rest: the move the word search took first.
     """
     w = tuple(w)
-    lengths = _admitted(m, w)
-    if lengths is None:
-        return None
-    parents, node = _accepting_search(m, w, lengths)
+    coded = m.coded
+    if coded.jfa:
+        vector = coded.vector(w)
+        parents, node = ({}, None) if vector is None else m.vector_search(True, vector)
+    else:
+        lengths = _admitted(m, w)
+        parents, node = ({}, None) if lengths is None else _accepting_search(m, w, lengths)
     if node is None:
         return None
+    path = [node]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    if coded.jfa:  # each node's word: each vector difference's symbol deleted at its leftmost occurrence
+        diffs = (x - y for (_, x), (_, y) in zip(path, path[1:]))
+        cuts = (chr(d.bit_length() // FIELD) if d else "" for d in diffs)
+        words = accumulate(cuts, lambda u, c: u.replace(c, "", 1), initial=coded.encode(w))
+        path = [(q, u) for (q, _), u in zip(path, words)]
     steps: list[tuple[Rule, int]] = []
-    while parents[node] is not None:
-        (q, u), (r, rest) = parents[node], node
-        moves = ((rule, v, i) for rule, v in m.coded.by_src[q] if rule.dst == r for i in range(len(rest) + 1))
+    for (q, u), (r, rest) in zip(path, path[1:]):
+        moves = ((rule, v, i) for rule, v in coded.by_src[q] if rule.dst == r for i in range(len(rest) + 1))
         steps.append(next((rule, i) for rule, v, i in moves if u == rest[:i] + v + rest[i:]))
-        node = q, u
-    steps.reverse()
     return AcceptanceWitness(w, tuple(steps))
 
 
 def jump_accepts(m: Gjfa, w: Word) -> bool:
     """Deletion-side acceptance: the tests and search of :func:`acceptance_witness`, without the witness.
-
-    On a JFA the Parikh vector test is exact, so no search runs.
-    """
+    On a JFA the Parikh vector test is exact, so no word search runs."""
     w = tuple(w)
     lengths = _admitted(m, w)
     if lengths is None:
@@ -171,26 +177,20 @@ def _insertions(m: Gjfa, target: str):
 def generate_accepts(m: Gjfa, w: Word) -> bool:
     """Generation-side acceptance: backward walk from final states.
 
-    A word is rejected without a walk when no final state's set of
-    :meth:`Gjfa.initial_vectors` holds its Parikh vector, and on a JFA that
-    test is exact, so no walk runs. Insertion only adds symbols, so the walk
-    keeps only subsequences of the target. Epsilon-labeled rules are
-    cycle-cut by the visited set.
+    A word is rejected without a walk when :meth:`Gjfa.initial_feasible`
+    rejects its Parikh vector, and on a JFA that test is exact, so no walk
+    runs. Insertion only adds symbols, so the walk keeps only subsequences of
+    the target. Epsilon-labeled rules are cycle-cut by the visited set.
     """
     w = tuple(w)
     coded = m.coded
     vector = coded.vector(w)
-    if vector is None:
-        return False
-    reached = m.initial_vectors(vector)
-    if not any(vector in reached.get(f, ()) for f in m.finals):
+    if vector is None or not m.initial_feasible(vector):
         return False
     if coded.jfa:
         return True
     u = coded.encode(w)
-    goal = (m.initial, u)
-    _, found = search([(f, "") for f in m.finals], _insertions(m, u), goal.__eq__)
-    return found is not None
+    return search([(f, "") for f in m.finals], _insertions(m, u), (m.initial, u).__eq__)[1] is not None
 
 
 def enumerate_language(m: Gjfa, max_len: int) -> LangSet:

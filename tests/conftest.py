@@ -11,8 +11,9 @@ def search_counter(monkeypatch):
     """The parent map of every ``semantics.search`` and ``core.search`` call, in call order.
 
     A map takes each reached node to the node it was first reached from, or
-    to None for a start. ``core.search`` runs every insertion closure and the
-    ``Nfa`` searches. ``core.insertion_closure`` drops its map before it
+    to None for a start. ``core.search`` runs every insertion closure, the
+    ``Nfa`` searches and the Parikh vector searches (``Gjfa.vector_search``,
+    whose nodes carry ``int`` vectors where the word searches' carry words). ``core.insertion_closure`` drops its map before it
     returns the words it kept, so this list is the only way to see it.
     """
     from jumpfa import core, semantics

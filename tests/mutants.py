@@ -1,10 +1,11 @@
 """Mutation check for the fast paths: each listed mutant must fail its tests.
 
 A mutant is one exact text replacement in one file of ``src/jumpfa``, and
-the test files that must catch it. The script copies ``src/`` (with
-``tests/`` and ``bench/``, which the tests read) to a temporary directory,
-checks that the unmutated copy passes every named test file, then applies
-each mutant in turn and runs its test files against the copy.
+the test files (or single tests, as pytest node ids) that must catch it.
+The script copies ``src/`` (with ``tests/`` and ``bench/``, which the tests
+read) to a temporary directory, checks that the unmutated copy passes every
+named test file, then applies each mutant in turn and runs its test files
+against the copy.
 
 It exits 1 when a mutant survives or when an ``old`` text does not occur
 exactly once (a refactor must update its mutants), and 0 when every mutant
@@ -129,24 +130,40 @@ MUTANTS = [
         ("tests/test_semantics.py",),
     ),
     Mutant(
-        "vector sets not regrown",
-        "core.py",
-        "if sums is None or (fence - vector) & coded.guards != coded.guards:",
-        "if sums is None:",
-        ("tests/test_semantics.py",),
-    ),
-    Mutant(
-        "regrown box keeps the old count",
-        "core.py",
-        "max(count, 2 * old) if count > old",
-        "2 * old if count > old",
-        ("tests/test_semantics.py",),
-    ),
-    Mutant(
-        "generation reads the sets of the paths to a final state",
+        "generation asks the deletion side's vector test",
         "semantics.py",
-        "reached = m.initial_vectors(vector)",
-        "reached = m.final_vectors(vector)",
+        "if vector is None or not m.initial_feasible(vector):",
+        "if vector is None or not m.final_feasible(vector):",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        # a count that goes negative wraps round, so an infeasible vector's
+        # search runs for hours: only the node-count test is named
+        "vector search keeps negative counts",
+        "core.py",
+        "if y & guards == guards:",
+        "if True:",
+        ("tests/test_semantics.py::test_parikh_search_is_sized_to_the_query",),
+    ),
+    Mutant(
+        "one vector verdict memo for both sides",
+        "core.py",
+        'self._feasible("_initial_verdicts", False, vector)',
+        'self._feasible("_final_verdicts", False, vector)',
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "generation side's vector search walks forward from the initial state",
+        "core.py",
+        'self._feasible("_initial_verdicts", False, vector)',
+        'self._feasible("_initial_verdicts", True, vector)',
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "vector search edges in hash order",
+        "core.py",
+        "rules = sorted(self.rules)",
+        "rules = self.rules",
         ("tests/test_semantics.py",),
     ),
     Mutant(
@@ -201,8 +218,8 @@ MUTANTS = [
     Mutant(
         "witness rebuild ignoring rule.dst",
         "semantics.py",
-        "for rule, v in m.coded.by_src[q] if rule.dst == r for",
-        "for rule, v in m.coded.by_src[q] for",
+        "for rule, v in coded.by_src[q] if rule.dst == r for",
+        "for rule, v in coded.by_src[q] for",
         ("tests/test_semantics.py",),
     ),
     Mutant(

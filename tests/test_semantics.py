@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 
 from jumpfa import core, semantics
 from jumpfa.core import Gjfa, Rule, degree, search, word
-from jumpfa.corpus import corpus_automata, corpus_get
+from jumpfa.corpus import corpus_automata, corpus_get, sigma_star_gjfa
 from jumpfa.insertion_systems import gcis_enumerate, gcis_from_gjfa, rcg_enumerate, rcg_from_gcis
 from jumpfa.langops import langset
 from jumpfa.semantics import (
@@ -154,16 +153,20 @@ def test_witness_steps_follow_an_accepting_path():
 
 
 def test_witnesses_do_not_depend_on_the_hash_seed():
-    # rules are a frozenset; the search tries them in sorted order, so the
-    # first deletion found, and hence each witness step, is the same in every run
+    # rules are a frozenset; the searches try them in sorted order, so the
+    # first deletion found, and hence each witness step, is the same in every
+    # run; on a JFA that is the vector search's path, and the five rules of the
+    # one-state Sigma* automaton give it many to choose from
     probe = (
         "import itertools\n"
-        "from jumpfa.corpus import corpus_automata\n"
+        "from jumpfa.corpus import corpus_automata, sigma_star_gjfa\n"
         "from jumpfa.semantics import acceptance_witness\n"
         "for name, m in corpus_automata():\n"
         "    for n in range(7):\n"
         "        for w in itertools.product(sorted(m.alphabet), repeat=n):\n"
         "            print(name, acceptance_witness(m, w))\n"
+        "symbols = [f's{i}' for i in range(5)]\n"
+        "print(acceptance_witness(sigma_star_gjfa(symbols), tuple(symbols) * 2))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = {
@@ -176,7 +179,8 @@ def test_witnesses_do_not_depend_on_the_hash_seed():
         ).stdout
         for seed in "01"
     }
-    assert len(outputs) == 1 and outputs.pop().count("steps=") == 340
+    # 340 corpus witnesses and the Sigma* one
+    assert len(outputs) == 1 and outputs.pop().count("steps=") == 340 + 1
 
 
 def test_witness_empty_accept():
@@ -267,10 +271,10 @@ def _plain_jump(m, w):
 
 
 def test_parikh_path_differential_random_jfa():
-    # on a JFA, jump_accepts and generate_accepts answer from the Parikh
-    # vector sets alone, and only acceptance_witness searches, deleting each
-    # label at its leftmost occurrence; the plain deletion search and the
-    # enumeration must agree with all three
+    # on a JFA, jump_accepts and generate_accepts answer from each side's
+    # Parikh vector search alone, and acceptance_witness reads its steps off
+    # the deletion side's, deleting each label at its leftmost occurrence; the
+    # plain deletion search and the enumeration must agree with all three
     rng = random.Random(2012)
     machines = [_random_jfa(rng) for _ in range(30)]
     assert all(m.coded.jfa for m in machines)
@@ -304,35 +308,62 @@ def _is_subsequence(u, t):
     return all(sym in rest for sym in u)
 
 
+def _searches(maps):
+    """The recorded searches in two lists: the node counts of the vector searches, whose nodes
+    carry ``int`` Parikh vectors, and the maps of the word searches, whose nodes carry coded words."""
+    vectors = [len(parents) for parents in maps if all(isinstance(x, int) for _, x in parents)]
+    words = [parents for parents in maps if all(isinstance(u, str) for _, u in parents)]
+    assert len(vectors) + len(words) == len(maps)
+    return vectors, words
+
+
+def _fresh(name):
+    """A copy of the corpus automaton with no cached forms, so no memo is warm from an earlier query."""
+    return Gjfa(*corpus_get(name).value)
+
+
 def test_fast_paths_bound_the_search(search_counter):
-    dyck = corpus_get("dyck_gjfa").value
-    semidyck2 = corpus_get("semidyck2_gjfa").value
+    names = ["dyck_gjfa", "semidyck2_gjfa", "thm1_m", "equal_counts_jfa"]
+    dyck, semidyck2, thm1, equal_counts = map(_fresh, names)
+    # the vector search walks back from (r, vector): r and q, then _g0 at each
+    # count of the Dyck pairs; thm1's two words share the vector (2, 2), so the
+    # second is answered by the generation side's memo
     cases = [
-        (dyck, ("a",) * 10 + ("abar",) * 10, True),
-        (THM1, word("abar.a.a.abar"), True),
-        (THM1, word("abar.a.abar.a"), False),
+        (dyck, ("a",) * 10 + ("abar",) * 10, True, [13]),
+        (thm1, word("abar.a.a.abar"), True, [3]),
+        (thm1, word("abar.a.abar.a"), False, []),
     ]
-    for m, target, verdict in cases:
+    for m, target, verdict, nodes in cases:
         search_counter.clear()
         assert generate_accepts(m, target) == verdict
-        (parents,) = search_counter
+        vectors, (parents,) = _searches(search_counter)
+        assert vectors == nodes
         assert all(_is_subsequence(_decode(m, u), target) for _, u in parents)
     # two a2 and one a2bar, and two a, two b and one c: no accepting path has
-    # these Parikh vectors, so neither side searches
-    for m, target in [(semidyck2, word("a1.a2.a2bar.a1bar.a2")), (EQUAL_COUNTS, word("c.b.a.a.b"))]:
+    # these Parikh vectors, so no word search runs; the deletion side rejects
+    # the odd length 5 before the vector
+    infeasible = [(semidyck2, word("a1.a2.a2bar.a1bar.a2"), [6]), (equal_counts, word("c.b.a.a.b"), [4])]
+    for m, target, nodes in infeasible:
         search_counter.clear()
         assert not generate_accepts(m, target)
         assert not jump_accepts(m, target)
-        assert search_counter == []
+        assert _searches(search_counter) == (nodes, [])
+    search_counter.clear()
     # length 19 is not a multiple of 3, so no accepting path has it
-    assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a",))
-    # Parikh vector (8, 7, 6): the length 21 passes, the vector does not
-    assert not jump_accepts(EQUAL_COUNTS, ("a", "b", "c") * 6 + ("a", "a", "b"))
+    assert not jump_accepts(equal_counts, ("a", "b", "c") * 6 + ("a",))
     assert search_counter == []
-    # the vector (10, 10) is feasible; each remainder is a^k abar^k in state
-    # _g0, and the length sets let the eps-rules to q and r in only at k = 0
+    # Parikh vector (8, 7, 6): the length 21 passes, the vector does not; the
+    # search subtracts a, b, c in turn from q0 and stops at 21 nodes
+    assert not jump_accepts(equal_counts, ("a", "b", "c") * 6 + ("a", "a", "b"))
+    assert _searches(search_counter) == ([21], [])
+    search_counter.clear()
+    # the vector (10, 10) is feasible: the vector search reaches each of the
+    # three states at each count k <= 10; in the word search each remainder is
+    # a^k abar^k in state _g0, and the length sets let the eps-rules to q and r
+    # in only at k = 0
     assert jump_accepts(dyck, ("a",) * 10 + ("abar",) * 10)
-    (parents,) = search_counter
+    vectors, (parents,) = _searches(search_counter)
+    assert vectors == [33]
     assert len(parents) <= 11 + 2
 
 
@@ -377,75 +408,59 @@ def test_length_pruned_jump_matches_plain_search():
 
 
 def test_parikh_generation_and_length_check_node_counts(search_counter):
-    # a JFA is decided by its Parikh vector sets, with no walk
-    assert generate_accepts(corpus_get("sigma_star_ab").value, word("a.b") * 4)
-    assert search_counter == []
+    # a JFA is decided by its Parikh vector, with no walk: the vector search
+    # reaches each of the (4 + 1) ** 2 sub-vectors of (4, 4) in its one state
+    assert generate_accepts(_fresh("sigma_star_ab"), word("a.b") * 4)
+    assert _searches(search_counter) == ([25], [])
+    search_counter.clear()
     # a GJFA word with a feasible vector is walked: one node (_g0, a^k abar^k)
-    # per k <= 4, and r and q with the empty word
-    assert generate_accepts(corpus_get("dyck_gjfa").value, ("a",) * 4 + ("abar",) * 4)
-    (parents,) = search_counter
+    # per k <= 4, and r and q with the empty word; its vector search reaches
+    # r, q and _g0 with (4, 4), then _g0 with each smaller count
+    assert generate_accepts(_fresh("dyck_gjfa"), ("a",) * 4 + ("abar",) * 4)
+    vectors, (parents,) = _searches(search_counter)
+    assert vectors == [7]
     assert len(parents) <= 5 + 2
     search_counter.clear()
+    # the odd length 3 is rejected before the vector
     assert not jump_accepts(corpus_get("semidyck2_gjfa").value, word("a1.a1bar.a2"))
     assert search_counter == []
-
-
-def _counts(m, x):
-    """The per-symbol counts of a Parikh vector packed in m's code."""
-    top = (1 << core.FIELD - 1) - 1
-    return tuple(x >> core.FIELD * i & top for i in range(len(m.coded.symbols)))
 
 
 def _vector(m, w):
     return m.coded.vector(tuple(w))
 
 
-def test_parikh_vectors_match_enumeration():
-    # each state's vector sets, in both directions, hold the Parikh vectors
-    # of the words of the re-rooted automaton inside the box
+def test_parikh_verdicts_match_enumeration():
+    # for every vector of total <= 6, each side's memoized verdict says whether
+    # the re-rooted automaton has a word with that vector: the deletion side
+    # rooted at each state q, the generation side with q the one final state
     rng = random.Random(2018)
     machines = [m for _, m in corpus_automata()] + [_random_gjfa(rng) for _ in range(20)]
     assert any(not r.label for m in machines for r in m.rules)
     n = 6
-    regrown = 0
     for m in machines:
-        sides = [
-            ("_final_vectors", m.final_vectors, lambda q: Gjfa(m.states, m.alphabet, m.rules, q, m.finals)),
-            ("_initial_vectors", m.initial_vectors, lambda q: Gjfa(m.states, m.alphabet, m.rules, m.initial, {q})),
-        ]
-        for key, vectors, rooted in sides:
-            expected = {q: {_vector(m, w) for w in enumerate_language(rooted(q), n)} for q in m.states}
-            old = None
-            # random words of growing length ask growing boxes, so the regrowth runs
-            for length in range(n + 1):
-                asked = _vector(m, [rng.choice(m.coded.symbols) for _ in range(length)])
-                sets = vectors(asked)
-                fence = m.__dict__[key][0]
-                box = _counts(m, fence)
-                if old is not None:
-                    # only the counts the word exceeds grow, to max(count, 2 * old)
-                    grown = tuple(o if c <= o else max(c, 2 * o) for o, c in zip(old, _counts(m, asked)))
-                    assert box == grown, (m, key, old, asked)
-                    regrown += box != old
-                assert all(c <= b for c, b in zip(_counts(m, asked), box))
-                old = box
-                size = math.prod(b + 1 for b in box)
-                assert sum(map(len, sets.values())) <= len(m.states) * size
-                for q in m.states:
-                    got = sets.get(q, set())
-                    assert len(got) <= size
-                    assert all((fence - x) & m.coded.guards == m.coded.guards for x in got)
-                    # exact inside the box, for every vector the enumeration reaches
-                    inside = {x for x in expected[q] if all(c <= b for c, b in zip(_counts(m, x), box))}
-                    assert {x for x in got if sum(_counts(m, x)) <= n} == inside, (m, key, q, box)
-    assert regrown
+        words = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(m.coded.symbols, k) for k in range(n + 1)
+        )
+        vectors = [_vector(m, c) for c in words]
+        rng.shuffle(vectors)
+        for q in sorted(m.states):
+            sides = [
+                (Gjfa(m.states, m.alphabet, m.rules, q, m.finals), Gjfa.final_feasible),
+                (Gjfa(m.states, m.alphabet, m.rules, m.initial, {q}), Gjfa.initial_feasible),
+            ]
+            for rooted, feasible in sides:
+                expected = {_vector(m, w) for w in enumerate_language(rooted, n)}
+                # the second pass reads the memo
+                for _ in range(2):
+                    assert {x for x in vectors if feasible(rooted, x)} == expected, (m, q, feasible)
 
 
-def test_each_side_reads_only_its_own_vector_sets(monkeypatch):
-    # the twin of the test below: the deletion side never reads the sets of
-    # the paths from the initial state, nor the generation side those of the
-    # paths to a final state
-    for patched, accepts in [("initial_vectors", jump_accepts), ("final_vectors", generate_accepts)]:
+def test_each_side_reads_only_its_own_feasibility_test(monkeypatch):
+    # the twin of test_generation_does_not_use_length_masks: the deletion side
+    # never asks the generation side's vector test, nor the generation side
+    # the deletion side's
+    for patched, accepts in [("initial_feasible", jump_accepts), ("final_feasible", generate_accepts)]:
         monkeypatch.setattr(Gjfa, patched, None)
         for name, m in corpus_automata():
             language = enumerate_language(m, 4)
@@ -455,6 +470,49 @@ def test_each_side_reads_only_its_own_vector_sets(monkeypatch):
                     if accepts is jump_accepts:
                         assert (acceptance_witness(m, w) is not None) == (w in language), (name, w)
         monkeypatch.undo()
+
+
+def test_parikh_search_is_sized_to_the_query(search_counter):
+    # each query reaches only the sub-vectors of its own vector, whatever was
+    # asked before it: prod(c_i + 1) * |Q| = 21 nodes for s_i^20
+    symbols = [f"s{i}" for i in range(5)]
+    m = sigma_star_gjfa(symbols)
+    for sym in symbols:
+        search_counter.clear()
+        assert jump_accepts(m, (sym,) * 20)
+        assert _searches(search_counter) == ([21], [])
+    # a vector asked again, with its symbols in any order, runs no search
+    search_counter.clear()
+    assert jump_accepts(m, ("s0",) * 20)
+    assert jump_accepts(m, ("s3", "s1")) and jump_accepts(m, ("s1", "s3"))
+    assert _searches(search_counter) == ([4], [])
+    # each side keeps its own memo and walks its own way: the deletion side
+    # forward from (p, vector) to (r, 0), the generation side back from
+    # (r, vector) to (p, 0)
+    g = Gjfa({"p", "r"}, {"a"}, {Rule("p", ("a",), "r"), Rule("r", ("a",), "r")}, "p", {"r"})
+    w = ("a",) * 3
+    search_counter.clear()
+    assert jump_accepts(g, w) and generate_accepts(g, w)
+    forward, backward = search_counter
+    assert list(forward) == [("p", _vector(g, w))] + [("r", _vector(g, w[k:])) for k in (1, 2, 3)]
+    assert next(iter(backward)) == ("r", _vector(g, w)) and len(backward) == 7
+    search_counter.clear()
+    assert jump_accepts(g, w) and generate_accepts(g, w)
+    assert search_counter == []
+    # a JFA witness runs the one vector search that decides it, over the
+    # 3 ** 8 sub-vectors of (2, ..., 2), and no word search; each step deletes
+    # its symbol at the leftmost occurrence
+    symbols = [f"s{i}" for i in range(8)]
+    m = sigma_star_gjfa(symbols)
+    search_counter.clear()
+    witness = acceptance_witness(m, tuple(symbols) * 2)
+    assert _searches(search_counter) == ([3**8], [])
+    _assert_replays(m, witness)
+    rest = witness.word
+    for rule, pos in witness.steps:
+        assert pos == rest.index(rule.label[0])
+        rest = rest[:pos] + rest[pos + 1 :]
+    assert rest == ()
 
 
 def test_infeasible_vector_is_rejected_without_search(search_counter):
@@ -471,10 +529,13 @@ def test_infeasible_vector_is_rejected_without_search(search_counter):
     assert not generate_accepts(m, w)
     assert not jump_accepts(m, w)
     assert acceptance_witness(m, w) is None
-    assert search_counter == []
-    # a feasible vector still needs a search on a GJFA
+    # one vector search per side, and the witness reads the deletion side's memo
+    assert _searches(search_counter) == ([65, 65], [])
+    search_counter.clear()
+    # a feasible vector still needs a word search on a GJFA
     assert generate_accepts(m, word("a.b.b.a")) and jump_accepts(m, word("b.a.a.b"))
-    assert len(search_counter) == 2
+    vectors, words = _searches(search_counter)
+    assert vectors == [3, 3] and len(words) == 2
 
 
 def test_generation_does_not_use_length_masks(monkeypatch):
