@@ -430,7 +430,7 @@ def _vector(m, w):
     return m.coded.vector(tuple(w))
 
 
-def test_parikh_verdicts_match_enumeration():
+def test_parikh_vectors_match_enumeration():
     # for every vector of total <= 6, each side's memoized verdict says whether
     # the re-rooted automaton has a word with that vector: the deletion side
     # rooted at each state q, the generation side with q the one final state
@@ -456,7 +456,7 @@ def test_parikh_verdicts_match_enumeration():
                     assert {x for x in vectors if feasible(rooted, x)} == expected, (m, q, feasible)
 
 
-def test_each_side_reads_only_its_own_feasibility_test(monkeypatch):
+def test_each_side_reads_only_its_own_vector_sets(monkeypatch):
     # the twin of test_generation_does_not_use_length_masks: the deletion side
     # never asks the generation side's vector test, nor the generation side
     # the deletion side's
