@@ -1,6 +1,11 @@
 """Bounded automata comparison, the union-of-compositions falsifier, and the
 JFA permutation-closure check.
 
+Two JFAs are compared by the Parikh vectors of their languages, each side's
+set from one search over (state, vector) nodes; a pair with a GJFA compares
+the enumerated words. ``jfa_permutation_check`` checks the theorem the vector
+comparison rests on, so it enumerates words.
+
 The falsifier implements a necessary condition: if a language is a union of
 compositions of degree n, then every non-empty member w contains a factor v
 (1 <= |v| <= n) that can be re-inserted at any other position of the rest of
@@ -10,11 +15,12 @@ proves that no degree-n jumping automaton accepts the language.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
-from jumpfa.core import Gjfa, Nfa, Word, degree, is_jfa
+from jumpfa.core import FIELD, Gjfa, Nfa, Word, degree, is_jfa, search
 from jumpfa.langops import LangSet
 from jumpfa.semantics import enumerate_language
 
@@ -50,19 +56,79 @@ class UcReport(NamedTuple):
 
 
 def bounded_equiv(a: Gjfa, b: Gjfa, max_len: int) -> EquivReport:
-    """Compare bounded enumerations; counterexamples are the symmetric difference."""
-    la = enumerate_language(a, max_len).words
-    lb = enumerate_language(b, max_len).words
-    diff = LangSet(la ^ lb).sorted_words()
-    return EquivReport(not diff, max_len, tuple(diff))
+    """Compare the languages up to max_len; counterexamples are the symmetric difference, shortlex.
+
+    Two JFAs agree up to max_len iff they have the same Parikh vectors of
+    total at most max_len (:func:`_jfa_vectors`), and the counterexamples
+    are the words of the vectors that one side lacks. Otherwise both
+    languages are enumerated.
+    """
+    return _compare(a, b, max_len, operator.xor)
 
 
 def bounded_inclusion(a: Gjfa, b: Gjfa, max_len: int) -> EquivReport:
-    """Check L(a) subset of L(b) at the bound; counterexamples from a only."""
-    la = enumerate_language(a, max_len).words
-    lb = enumerate_language(b, max_len).words
-    diff = LangSet(la - lb).sorted_words()
+    """Check L(a) subset of L(b) up to max_len; counterexamples from a only, in shortlex order.
+
+    Two JFAs are compared by their Parikh vectors, as in :func:`bounded_equiv`.
+    """
+    return _compare(a, b, max_len, operator.sub)
+
+
+def _compare(a: Gjfa, b: Gjfa, max_len: int, difference) -> EquivReport:
+    """The report on the words in difference(L(a), L(b)) up to max_len, a set operator."""
+    if is_jfa(a) and is_jfa(b):
+        symbols = sorted(set().union(a.alphabet, b.alphabet, *(r.label for r in a.rules | b.rules)))
+        units = {sym: 1 << FIELD * i | 1 for i, sym in enumerate(symbols, 1)}
+        diff = difference(_jfa_vectors(a, units, max_len), _jfa_vectors(b, units, max_len))
+        words = LangSet(w for x in diff for w in _arrangements(symbols, x))
+    else:
+        la, lb = (enumerate_language(m, max_len).words for m in (a, b))
+        words = LangSet(difference(la, lb))
+    diff = words.sorted_words()
     return EquivReport(not diff, max_len, tuple(diff))
+
+
+# The total of a vector packed by _jfa_vectors' units: its lowest field.
+_TOTAL = (1 << FIELD) - 1
+
+
+def _jfa_vectors(m: Gjfa, units: dict[str, int], max_len: int) -> set[int]:
+    """The Parikh vectors of the words of L(m) up to max_len, for a JFA m (Meduna and Zemek: L(m) is
+    the permutation closure of m read as an automaton).
+
+    A vector is the sum of the units of its symbols; a unit sets field 0 (the
+    total) and the symbol's own field to 1. One :func:`search` forward from
+    (initial, 0) over (state, vector) nodes, taking the rules in sorted order
+    and adding each label's vector; a node whose total exceeds max_len is cut.
+    """
+    edges = m._rule_graph(False, lambda label: sum(map(units.__getitem__, label)))
+
+    def successors(node):
+        q, x = node
+        for dst, weight in edges.get(q, ()):
+            y = x + weight
+            if y & _TOTAL <= max_len:
+                yield dst, y
+
+    return {x for q, x in search([(m.initial, 0)], successors)[0] if q in m.finals}
+
+
+def _arrangements(symbols: list[str], vector: int):
+    """The distinct words with the Parikh vector (packed as in :func:`_jfa_vectors`), in
+    lexicographic order: each is the next permutation of the one before."""
+    w = [sym for i, sym in enumerate(symbols, 1) for _ in range(vector >> FIELD * i & _TOTAL)]
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1 :] = reversed(w[i + 1 :])
 
 
 def uc_condition(member: Oracle, w: Word, n: int) -> UcReport:

@@ -236,6 +236,27 @@ MUTANTS = [
         "if True]",
         ("tests/test_insertion_systems.py",),
     ),
+    Mutant(
+        "JFA vector search weighs labels by length",
+        "analysis.py",
+        "m._rule_graph(False, lambda label: sum(map(units.__getitem__, label)))",
+        "m._rule_graph(False, len)",
+        ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
+    ),
+    Mutant(
+        "JFA vector search drops eps-rules",
+        "analysis.py",
+        "if y & _TOTAL <= max_len:",
+        "if weight and y & _TOTAL <= max_len:",
+        ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
+    ),
+    Mutant(
+        "inclusion takes the symmetric difference",
+        "analysis.py",
+        "return _compare(a, b, max_len, operator.sub)",
+        "return _compare(a, b, max_len, operator.xor)",
+        ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
+    ),
 ]
 
 

@@ -9,6 +9,7 @@ from jumpfa import analysis
 from jumpfa.analysis import (
     bounded_equiv,
     bounded_inclusion,
+    EquivReport,
     gjfa_as_nfa,
     jfa_permutation_check,
     UcReport,
@@ -16,7 +17,7 @@ from jumpfa.analysis import (
     uc_soundness_check,
 )
 from jumpfa.constructions import finite_gjfa, reverse_gjfa, union_gjfa
-from jumpfa.core import Gjfa, Rule, degree, word
+from jumpfa.core import FIELD, Gjfa, Rule, degree, is_jfa, word
 from jumpfa.corpus import ab_star, corpus_automata, corpus_get, dyck_balance, sigma_star_gjfa
 from jumpfa.langops import LangSet, dyck_bounded, langset, perm_closure
 from jumpfa.semantics import enumerate_language, jump_accepts
@@ -53,6 +54,116 @@ def test_bounded_inclusion_dyck():
 def test_bounded_inclusion_union_upper_bound():
     for m in (THM1, DYCK):
         assert bounded_inclusion(m, union_gjfa(m, DYCK), 5).equal
+
+
+SIGMA_AB = corpus_get("sigma_star_ab").value
+
+
+def _compare_by_enumeration(a, b, n, equiv):
+    """The report that comparing the enumerated word sets gives: the symmetric difference or L(a) - L(b)."""
+    la = enumerate_language(a, n).words
+    lb = enumerate_language(b, n).words
+    diff = LangSet(la ^ lb if equiv else la - lb).sorted_words()
+    return EquivReport(not diff, n, tuple(diff))
+
+
+def _random_jfa_pair_side(rng, symbols):
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    labels = [()] * 2 + [(sym,) for sym in symbols]
+    rules = {
+        Rule(rng.choice(states), rng.choice(labels), rng.choice(states))
+        for _ in range(rng.randint(1, 6))
+    }
+    finals = rng.sample(states, rng.randint(1, len(states)))
+    return Gjfa(states, symbols, rules, rng.choice(states), finals)
+
+
+def _jfa_pairs():
+    rng = random.Random(2201)
+    alphabets = ["ab", "ab", "a", "abc", "bc"]
+    pairs = []
+    for _ in range(40):
+        a = _random_jfa_pair_side(rng, rng.choice(alphabets))
+        b = _random_jfa_pair_side(rng, rng.choice(alphabets))
+        pairs.append((a, b))
+    # b's labels use c and d, which neither alphabet declares
+    rules = {Rule("p", ("c",), "r"), Rule("r", ("d",), "p"), Rule("r", (), "r")}
+    undeclared = Gjfa({"p", "r"}, {"a"}, rules, "p", {"r"})
+    pairs.append((sigma_star_gjfa({"a", "c"}), undeclared))
+    units = finite_gjfa(langset("a", "b", "c"), {"a", "b", "c"})
+    corpus = [SIGMA_AB, EQUAL_COUNTS, units, finite_gjfa(langset("eps", "a"), {"a"})]
+    pairs += list(itertools.combinations(corpus, 2)) + [(m, m) for m in corpus]
+    return pairs
+
+
+def _eps_cycle(m):
+    eps = {(r.src, r.dst) for r in m.rules if not r.label}
+    return any(src == dst or (dst, src) in eps for src, dst in eps)
+
+
+def test_jfa_comparison_matches_enumeration():
+    # two JFAs are compared by Parikh vectors; the whole report must be the
+    # one that comparing the enumerated word sets gives, counterexample order too
+    pairs = _jfa_pairs()
+    machines = [m for pair in pairs for m in pair]
+    assert all(is_jfa(m) for m in machines)
+    assert any(_eps_cycle(m) for m in machines)
+    assert any(m.initial in m.finals for m in machines)
+    assert any(not enumerate_language(m, 6).words for m in machines)  # no final state reachable
+    assert any(a.alphabet != b.alphabet for a, b in pairs)
+    seen = set()
+    for a, b in pairs:
+        for n in range(7):
+            for x, y, equiv in ((a, b, True), (a, b, False), (b, a, False)):
+                check = bounded_equiv if equiv else bounded_inclusion
+                report = check(x, y, n)
+                assert report == _compare_by_enumeration(x, y, n, equiv), (x, y, n, equiv)
+                seen.add((equiv, report.equal, len(report.counterexamples) > 1))
+    # both verdicts, and reports with one and with several counterexamples
+    outcomes = {(True, False), (False, True), (False, False)}
+    assert seen == {(equiv, equal, many) for equiv in (True, False) for equal, many in outcomes}
+
+
+def test_jfa_comparison_counts_vectors_not_words(search_counter):
+    # sigma_star_ab has one state and C(26, 2) vectors of total <= 24: two
+    # vector searches of 325 nodes, where enumeration builds 2 ** 25 - 1 words per side
+    assert bounded_equiv(SIGMA_AB, SIGMA_AB, 24) == EquivReport(True, 24, ())
+    assert [len(parents) for parents in search_counter] == [325, 325]
+    assert all(isinstance(x, int) for parents in search_counter for _, x in parents)
+
+
+def test_gjfa_and_mixed_pairs_enumerate(search_counter, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("vector search on a pair with a GJFA")
+
+    monkeypatch.setattr(analysis, "_jfa_vectors", refuse)
+    for a, b in ((THM1, DYCK), (SIGMA_AB, THM1), (DYCK, EQUAL_COUNTS)):
+        for equiv in (True, False):
+            search_counter.clear()
+            report = (bounded_equiv if equiv else bounded_inclusion)(a, b, 6)
+            # the two insertion closures, whose nodes carry words
+            assert len(search_counter) == 2
+            assert all(isinstance(w, tuple) for parents in search_counter for _, w in parents)
+            assert report == _compare_by_enumeration(a, b, 6, equiv)
+
+
+def test_jfa_permutation_check_does_not_use_the_vector_search(monkeypatch):
+    # the check tests the theorem the vector comparison rests on
+    def refuse(*args):
+        raise AssertionError("jfa_permutation_check used the vector search")
+
+    monkeypatch.setattr(analysis, "_jfa_vectors", refuse)
+    assert jfa_permutation_check(SIGMA_AB, 6)
+    assert jfa_permutation_check(EQUAL_COUNTS, 6)
+
+
+def test_arrangements_are_the_distinct_permutations():
+    symbols = ["a", "b", "c"]
+    for counts in itertools.product(range(4), repeat=3):
+        vector = sum(k * (1 << FIELD * i | 1) for i, k in enumerate(counts, 1))
+        words = list(analysis._arrangements(symbols, vector))
+        assert words == sorted(set(itertools.permutations(sorted(words[0])))), counts
+        assert Counter(words[0]) == Counter({sym: k for sym, k in zip(symbols, counts) if k})
 
 
 def test_uc_condition_falsifies_ab_star():

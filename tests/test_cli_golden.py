@@ -70,6 +70,10 @@ COMMANDS = [
             (["convert", "rcg-to-gcis", f"@{name}.rcg"], None),
         )
     ),
+    (["check", "equiv", "sigma_star_ab", "equal_counts_jfa", "--max-len", "3"], None),
+    (["check", "inclusion", "sigma_star_ab", "equal_counts_jfa", "--max-len", "4", "--json"], None),
+    (["check", "inclusion", "equal_counts_jfa", "sigma_star_ab", "--max-len", "3"], None),
+    (["check", "equiv", "sigma_star_ab", "sigma_star_ab", "--max-len", "16"], None),
 ]
 
 
