@@ -2,7 +2,7 @@
 JFA permutation-closure check.
 
 Two JFAs are compared by the Parikh vectors of their languages, each side's
-set from one search over (state, vector) nodes; a pair with a GJFA compares
+set from ``core.label_sums`` over its rule graph; a pair with a GJFA compares
 the enumerated words. ``jfa_permutation_check`` checks the theorem the vector
 comparison rests on, so it enumerates words.
 
@@ -20,7 +20,7 @@ from collections import Counter
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
-from jumpfa.core import FIELD, Gjfa, Nfa, Word, degree, is_jfa, search
+from jumpfa.core import FIELD, Gjfa, Nfa, Word, degree, is_jfa, label_sums
 from jumpfa.langops import LangSet
 from jumpfa.semantics import enumerate_language
 
@@ -59,9 +59,10 @@ def bounded_equiv(a: Gjfa, b: Gjfa, max_len: int) -> EquivReport:
     """Compare the languages up to max_len; counterexamples are the symmetric difference, shortlex.
 
     Two JFAs agree up to max_len iff they have the same Parikh vectors of
-    total at most max_len (:func:`_jfa_vectors`), and the counterexamples
-    are the words of the vectors that one side lacks. Otherwise both
-    languages are enumerated.
+    total at most max_len (Meduna and Zemek: the language of a JFA is the
+    permutation closure of the automaton read as a classical one), and the
+    counterexamples are the words of the vectors that one side lacks.
+    Otherwise both languages are enumerated.
     """
     return _compare(a, b, max_len, operator.xor)
 
@@ -77,10 +78,20 @@ def bounded_inclusion(a: Gjfa, b: Gjfa, max_len: int) -> EquivReport:
 def _compare(a: Gjfa, b: Gjfa, max_len: int, difference) -> EquivReport:
     """The report on the words in difference(L(a), L(b)) up to max_len, a set operator."""
     if is_jfa(a) and is_jfa(b):
+        # symbol i counts in field i and the total in the top field, so a sum
+        # is at most bound iff its total is at most max_len
         symbols = sorted(set().union(a.alphabet, b.alphabet, *(r.label for r in a.rules | b.rules)))
-        units = {sym: 1 << FIELD * i | 1 for i, sym in enumerate(symbols, 1)}
-        diff = difference(_jfa_vectors(a, units, max_len), _jfa_vectors(b, units, max_len))
-        words = LangSet(w for x in diff for w in _arrangements(symbols, x))
+        top = FIELD * len(symbols)
+        units = {sym: 1 << FIELD * i | 1 << top for i, sym in enumerate(symbols)}
+        bound = (max_len + 1 << top) - 1
+
+        def weight(label):
+            return sum(map(units.__getitem__, label))
+
+        va, vb = (
+            label_sums(m.finals, m._rule_graph(True, weight), bound).get(m.initial, set()) for m in (a, b)
+        )
+        words = LangSet(w for x in difference(va, vb) for w in _arrangements(symbols, x))
     else:
         la, lb = (enumerate_language(m, max_len).words for m in (a, b))
         words = LangSet(difference(la, lb))
@@ -88,35 +99,10 @@ def _compare(a: Gjfa, b: Gjfa, max_len: int, difference) -> EquivReport:
     return EquivReport(not diff, max_len, tuple(diff))
 
 
-# The total of a vector packed by _jfa_vectors' units: its lowest field.
-_TOTAL = (1 << FIELD) - 1
-
-
-def _jfa_vectors(m: Gjfa, units: dict[str, int], max_len: int) -> set[int]:
-    """The Parikh vectors of the words of L(m) up to max_len, for a JFA m (Meduna and Zemek: L(m) is
-    the permutation closure of m read as an automaton).
-
-    A vector is the sum of the units of its symbols; a unit sets field 0 (the
-    total) and the symbol's own field to 1. One :func:`search` forward from
-    (initial, 0) over (state, vector) nodes, taking the rules in sorted order
-    and adding each label's vector; a node whose total exceeds max_len is cut.
-    """
-    edges = m._rule_graph(False, lambda label: sum(map(units.__getitem__, label)))
-
-    def successors(node):
-        q, x = node
-        for dst, weight in edges.get(q, ()):
-            y = x + weight
-            if y & _TOTAL <= max_len:
-                yield dst, y
-
-    return {x for q, x in search([(m.initial, 0)], successors)[0] if q in m.finals}
-
-
 def _arrangements(symbols: list[str], vector: int):
-    """The distinct words with the Parikh vector (packed as in :func:`_jfa_vectors`), in
-    lexicographic order: each is the next permutation of the one before."""
-    w = [sym for i, sym in enumerate(symbols, 1) for _ in range(vector >> FIELD * i & _TOTAL)]
+    """The distinct words with the Parikh vector (packed as in :func:`_compare`: the count of
+    symbols[i] in field i), in lexicographic order: each is the next permutation of the one before."""
+    w = [sym for i, sym in enumerate(symbols) for _ in range(vector >> FIELD * i & (1 << FIELD) - 1)]
     while True:
         yield tuple(w)
         i = len(w) - 2

@@ -7,7 +7,7 @@ import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Optional
 
-from jumpfa.core import Word, insertion_closure, shortlex_key
+from jumpfa.core import Word, insertion_closure, shortlex_key, word
 
 
 class LangSet:
@@ -55,8 +55,6 @@ class LangSet:
 
 def langset(*dotted: str) -> LangSet:
     """Convenience builder from dotted word strings."""
-    from jumpfa.core import word
-
     return LangSet(word(t) for t in dotted)
 
 

@@ -47,18 +47,18 @@ class AcceptanceWitness(NamedTuple):
         return w
 
 
-def _deletions(m: Gjfa, lengths: Optional[dict[str, set[int]]] = None):
+def _deletions(m: Gjfa, lengths: dict[str, set[int]]):
     """Successors of the deletion search on coded words: each rule's label deleted at each occurrence.
 
-    With ``lengths`` (``Gjfa.final_lengths``), a rule (q, v, r) is tried only
-    when the remainder's length is in r's set.
+    A rule (q, v, r) is tried only when the remainder's length is in r's set
+    of ``lengths`` (``Gjfa.final_lengths``).
     """
     by_src = m.coded.by_src
 
     def successors(node):
         state, w = node
         for rule, v in by_src.get(state, ()):
-            if lengths is not None and len(w) - len(v) not in lengths.get(rule.dst, ()):
+            if len(w) - len(v) not in lengths.get(rule.dst, ()):
                 continue
             pos = w.find(v)
             while pos >= 0:

@@ -237,17 +237,24 @@ MUTANTS = [
         ("tests/test_insertion_systems.py",),
     ),
     Mutant(
-        "JFA vector search weighs labels by length",
+        "JFA vector sets weigh labels by length",
         "analysis.py",
-        "m._rule_graph(False, lambda label: sum(map(units.__getitem__, label)))",
-        "m._rule_graph(False, len)",
+        "return sum(map(units.__getitem__, label))",
+        "return len(label) << top",
         ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
     ),
     Mutant(
-        "JFA vector search drops eps-rules",
+        "JFA vector sets drop eps-rules",
         "analysis.py",
-        "if y & _TOTAL <= max_len:",
-        "if weight and y & _TOTAL <= max_len:",
+        "return sum(map(units.__getitem__, label))",
+        "return sum(map(units.__getitem__, label)) or bound + 1",
+        ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
+    ),
+    Mutant(
+        "JFA vector sets: total cap off by one",
+        "analysis.py",
+        "bound = (max_len + 1 << top) - 1",
+        "bound = (max_len << top) - 1",
         ("tests/test_analysis.py::test_jfa_comparison_matches_enumeration",),
     ),
     Mutant(

@@ -17,7 +17,7 @@ from jumpfa.analysis import (
     uc_soundness_check,
 )
 from jumpfa.constructions import finite_gjfa, reverse_gjfa, union_gjfa
-from jumpfa.core import FIELD, Gjfa, Rule, degree, is_jfa, word
+from jumpfa.core import FIELD, Gjfa, Rule, degree, is_jfa, label_sums, word
 from jumpfa.corpus import ab_star, corpus_automata, corpus_get, dyck_balance, sigma_star_gjfa
 from jumpfa.langops import LangSet, dyck_bounded, langset, perm_closure
 from jumpfa.semantics import enumerate_language, jump_accepts
@@ -124,19 +124,28 @@ def test_jfa_comparison_matches_enumeration():
     assert seen == {(equiv, equal, many) for equiv in (True, False) for equal, many in outcomes}
 
 
-def test_jfa_comparison_counts_vectors_not_words(search_counter):
+def test_jfa_comparison_counts_vectors_not_words(search_counter, monkeypatch):
     # sigma_star_ab has one state and C(26, 2) vectors of total <= 24: two
-    # vector searches of 325 nodes, where enumeration builds 2 ** 25 - 1 words per side
+    # label_sums fixpoints with 325 vectors at the initial state and no search,
+    # where enumeration builds 2 ** 25 - 1 words per side
+    sums = []
+
+    def recording(*args):
+        sums.append(label_sums(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(analysis, "label_sums", recording)
     assert bounded_equiv(SIGMA_AB, SIGMA_AB, 24) == EquivReport(True, 24, ())
-    assert [len(parents) for parents in search_counter] == [325, 325]
-    assert all(isinstance(x, int) for parents in search_counter for _, x in parents)
+    assert search_counter == []
+    assert [len(per_state[SIGMA_AB.initial]) for per_state in sums] == [325, 325]
+    assert all(isinstance(x, int) for per_state in sums for x in per_state[SIGMA_AB.initial])
 
 
 def test_gjfa_and_mixed_pairs_enumerate(search_counter, monkeypatch):
     def refuse(*args):
         raise AssertionError("vector search on a pair with a GJFA")
 
-    monkeypatch.setattr(analysis, "_jfa_vectors", refuse)
+    monkeypatch.setattr(analysis, "label_sums", refuse)
     for a, b in ((THM1, DYCK), (SIGMA_AB, THM1), (DYCK, EQUAL_COUNTS)):
         for equiv in (True, False):
             search_counter.clear()
@@ -152,7 +161,7 @@ def test_jfa_permutation_check_does_not_use_the_vector_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("jfa_permutation_check used the vector search")
 
-    monkeypatch.setattr(analysis, "_jfa_vectors", refuse)
+    monkeypatch.setattr(analysis, "label_sums", refuse)
     assert jfa_permutation_check(SIGMA_AB, 6)
     assert jfa_permutation_check(EQUAL_COUNTS, 6)
 
@@ -160,7 +169,7 @@ def test_jfa_permutation_check_does_not_use_the_vector_search(monkeypatch):
 def test_arrangements_are_the_distinct_permutations():
     symbols = ["a", "b", "c"]
     for counts in itertools.product(range(4), repeat=3):
-        vector = sum(k * (1 << FIELD * i | 1) for i, k in enumerate(counts, 1))
+        vector = sum(k * (1 << FIELD * i | 1 << FIELD * 3) for i, k in enumerate(counts))
         words = list(analysis._arrangements(symbols, vector))
         assert words == sorted(set(itertools.permutations(sorted(words[0])))), counts
         assert Counter(words[0]) == Counter({sym: k for sym, k in zip(symbols, counts) if k})

@@ -27,9 +27,14 @@ def _decode(m, u):
     return tuple(m.coded.symbols[ord(c)] for c in u)
 
 
+def _unpruned(m, w):
+    """The deletion successors for w with length sets that prune nothing: every length <= |w| everywhere."""
+    return _deletions(m, dict.fromkeys(m.states, range(len(w) + 1)))
+
+
 def _one_step(m, state, w):
     """The (state, word) pairs one deletion step from (state, w), decoded."""
-    return {(q, _decode(m, u)) for q, u in _deletions(m)((state, m.coded.encode(w)))}
+    return {(q, _decode(m, u)) for q, u in _unpruned(m, w)((state, m.coded.encode(w)))}
 
 
 def test_delete_successors_two_occurrences():
@@ -266,7 +271,7 @@ def _random_jfa(rng):
 def _plain_jump(m, w):
     """Deletion search over every occurrence of every label, on the coded word."""
     goals = {(f, "") for f in m.finals}
-    _, found = search([(m.initial, m.coded.encode(w))], _deletions(m), goals.__contains__)
+    _, found = search([(m.initial, m.coded.encode(w))], _unpruned(m, w), goals.__contains__)
     return found is not None
 
 
